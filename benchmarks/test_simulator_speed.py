@@ -2,36 +2,25 @@
 
 These track the *host* cost of simulation — committed micro-ops per
 host-second — so performance regressions in the cycle loop show up in
-benchmark history.  One compute-bound and one memory-bound workload,
-since they stress different parts of the loop (issue bandwidth vs the
-event heap and fast-forward), each timed on both execution engines
-(:mod:`repro.pipeline.engine`).  ``tools/bench_report.py`` reuses
-:data:`WORKLOADS` / :func:`run_once` to produce the per-engine
-``BENCH_6.json`` CI artifact.
+benchmark history.  Compute-bound and memory-bound workloads, since
+they stress different parts of the loop (issue bandwidth vs the event
+heap and fast-forward).  The repository's end-to-end and per-layer
+benchmark is ``python3 perfbench/run.py``.
 """
 
 import pytest
 
 from repro.config import base_config, dynamic_config
-from repro.pipeline import Processor, get_engine
+from repro.pipeline import Processor
 from repro.workloads import generate_trace, profile
 
 MEASURE = 6_000
 
-#: The bench matrix, shared with tools/bench_report.py:
-#: name -> (program, config factory, bound-kind tag).
-WORKLOADS = {
-    "compute_bound": ("gcc", base_config, "compute"),
-    "memory_bound": ("leslie3d", base_config, "memory"),
-    "memory_bound_mlp": ("milc", base_config, "memory"),
-    "dynamic_model": ("leslie3d", lambda: dynamic_config(3), "memory"),
-}
 
-
-def run_once(config, trace, engine="reference"):
+def run_once(config, trace):
     proc = Processor(config, trace)
     proc.prewarm()
-    get_engine(engine).run(proc, until_committed=MEASURE)
+    proc.run(until_committed=MEASURE)
     return proc
 
 
@@ -45,45 +34,33 @@ def leslie_trace():
     return generate_trace(profile("leslie3d"), n_ops=MEASURE + 1000, seed=1)
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
-def test_speed_compute_bound(benchmark, gcc_trace, engine):
-    proc = benchmark.pedantic(run_once,
-                              args=(base_config(), gcc_trace, engine),
+def test_speed_compute_bound(benchmark, gcc_trace):
+    proc = benchmark.pedantic(run_once, args=(base_config(), gcc_trace),
                               rounds=3, iterations=1)
     assert proc.committed_total >= MEASURE
     benchmark.extra_info["simulated_cycles"] = proc.stats.cycles
-    benchmark.extra_info["engine"] = engine
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
-def test_speed_memory_bound(benchmark, leslie_trace, engine):
-    proc = benchmark.pedantic(run_once,
-                              args=(base_config(), leslie_trace, engine),
+def test_speed_memory_bound(benchmark, leslie_trace):
+    proc = benchmark.pedantic(run_once, args=(base_config(), leslie_trace),
                               rounds=3, iterations=1)
     assert proc.committed_total >= MEASURE
     benchmark.extra_info["simulated_cycles"] = proc.stats.cycles
-    benchmark.extra_info["engine"] = engine
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
-def test_speed_memory_bound_mlp(benchmark, engine):
+def test_speed_memory_bound_mlp(benchmark):
     trace = generate_trace(profile("milc"), n_ops=MEASURE + 1000, seed=1)
-    proc = benchmark.pedantic(run_once,
-                              args=(base_config(), trace, engine),
+    proc = benchmark.pedantic(run_once, args=(base_config(), trace),
                               rounds=3, iterations=1)
     assert proc.committed_total >= MEASURE
     benchmark.extra_info["simulated_cycles"] = proc.stats.cycles
-    benchmark.extra_info["engine"] = engine
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
-def test_speed_dynamic_model(benchmark, leslie_trace, engine):
-    proc = benchmark.pedantic(run_once,
-                              args=(dynamic_config(3), leslie_trace, engine),
+def test_speed_dynamic_model(benchmark, leslie_trace):
+    proc = benchmark.pedantic(run_once, args=(dynamic_config(3), leslie_trace),
                               rounds=3, iterations=1)
     assert proc.committed_total >= MEASURE
     benchmark.extra_info["simulated_cycles"] = proc.stats.cycles
-    benchmark.extra_info["engine"] = engine
 
 
 def test_speed_trace_generation(benchmark):

@@ -254,11 +254,6 @@ class ProcessorConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     prefetcher: PrefetcherConfig = field(default_factory=PrefetcherConfig)
     runahead: RunaheadConfig = field(default_factory=RunaheadConfig)
-    #: Main-loop backend (:mod:`repro.pipeline.engine`): ``"reference"``
-    #: or ``"fast"``.  A pure host-speed knob — engines are behaviourally
-    #: identical — so it is excluded from :func:`config_fingerprint` and
-    #: never changes a result key.
-    engine: str = "reference"
     #: SMT scenario (None = the ordinary single-thread pipeline).  When
     #: set, ``level`` is the *provisioned* window level all threads
     #: share and ``model`` must be FIXED (static partition) or DYNAMIC
@@ -271,10 +266,6 @@ class ProcessorConfig:
                 f"level {self.level} outside 1..{len(self.levels)}")
         if self.width < 1:
             raise ValueError("pipeline width must be >= 1")
-        if self.engine not in ("reference", "fast"):
-            raise ValueError(
-                f"unknown engine {self.engine!r} (want 'reference' or "
-                f"'fast')")
         if self.smt is not None and self.model not in (
                 ModelKind.FIXED, ModelKind.DYNAMIC):
             raise ValueError(
@@ -317,15 +308,9 @@ def config_fingerprint(config: ProcessorConfig) -> str:
     unlike hand-picked field subsets, it cannot silently alias configs
     that differ in DRAM latency, prefetcher kind, or any future field.
 
-    The one exclusion is ``engine``: execution engines are behaviourally
-    identical by contract (the engine-equivalence oracle), so results
-    computed by either must share cache entries — a warm cache populated
-    with one engine fully serves the other.
-
     Configs are frozen (hashable), so fingerprints are memoised.
     """
     fields = asdict(config)
-    del fields["engine"]
     if fields.get("smt") is None:
         # Every pre-SMT config fingerprints exactly as it always did, so
         # existing on-disk result-store entries stay addressable.

@@ -19,8 +19,8 @@ encoding a fixed rule:
 Determinism contract
     Exploration is *seeded and counter-indexed*: every random draw is a
     pure function of ``(seed, draw_index)`` through a splitmix64-style
-    mixer — no ``random.Random`` state, no dependence on host, process,
-    engine or import order.  The seed is a plain constructor attribute,
+    mixer — no ``random.Random`` state, no dependence on host, process
+    or import order.  The seed is a plain constructor attribute,
     so :func:`repro.experiments.cache.policy_fingerprint` folds it into
     every ``result_key``: the same seed replays bit-identically (and
     cache-hits), a different seed keys a different run.  ``.pin(N)``
@@ -57,7 +57,7 @@ def seeded_unit(seed: int, index: int, salt: int = 0) -> float:
     """Deterministic uniform draw in ``[0, 1)`` for ``(seed, index)``.
 
     A splitmix64-style finalizer over the mixed inputs: stable across
-    processes, platforms and engines, and stateless — the bandit's
+    processes and platforms, and stateless — the bandit's
     exploration sequence is a pure function of its seed and how many
     draws it has made, which is what makes seeded replay exact.
     """

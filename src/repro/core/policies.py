@@ -336,15 +336,15 @@ POLICY_REGISTRY: tuple[PolicyInfo, ...] = (
         "static", "static[:N]",
         "fixed window level N (default 1) for the whole run — the "
         "paper's FIXED and IDEAL models",
-        "golden digests, fast-forward/engine equivalence; the reference "
-        "side of pin-equivalence",
+        "golden digests, fast-forward equivalence; the reference side of "
+        "pin-equivalence",
         _make_static),
     PolicyInfo(
         "mlp", "mlp",
         "the paper's DYN controller: enlarge one level per demand L2 "
         "miss, shrink when a one-memory-latency timer expires",
         "pin-equivalence, degenerate-memory (stays at level 1), "
-        "ff/engine equivalence, golden digests, fuzz",
+        "ff equivalence, golden digests, fuzz",
         _make_mlp),
     PolicyInfo(
         "occupancy", "occupancy",

@@ -138,12 +138,6 @@ def main(argv=None) -> int:
                              "flag is given bare) into "
                              "<cache-dir>/telemetry/<key>.jsonl — render "
                              "one with `python -m repro.telemetry report`")
-    parser.add_argument("--engine", choices=("reference", "fast"),
-                        default=None,
-                        help="execution engine for every simulation "
-                             "(host-speed knob; results and cache keys "
-                             "are engine-independent — see "
-                             "repro.pipeline.engine)")
     args = parser.parse_args(argv)
 
     if args.telemetry and args.no_cache:
@@ -158,8 +152,7 @@ def main(argv=None) -> int:
     settings = Settings(all_programs=not args.selected, warmup=args.warmup,
                         measure=args.measure, seed=args.seed,
                         sanitize=args.sanitize,
-                        telemetry_period=args.telemetry,
-                        engine=args.engine)
+                        telemetry_period=args.telemetry)
     wanted = [e for e in args.only.split(",") if e] or list(EXPERIMENTS)
     unknown = [e for e in wanted if e not in EXPERIMENTS]
     if unknown:

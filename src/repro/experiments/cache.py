@@ -501,13 +501,6 @@ class JobSpec:
     #: directory for the per-job telemetry artifact
     #: (``<telemetry_dir>/<key>.jsonl``); None disables writing.
     telemetry_dir: str | None = None
-    #: execution-engine override (:mod:`repro.pipeline.engine`); None
-    #: uses ``config.engine``.  Not part of the result key: engines are
-    #: behaviourally identical (the engine-equivalence oracle), so a
-    #: warm cache populated by one engine serves the other.  A caller
-    #: deliberately pairing engines against each other must split the
-    #: keys via ``key_extra`` (see ``repro.verify.fuzz``).
-    engine: str | None = None
     #: per-thread programs of an SMT job (``config.smt`` set); the
     #: worker generates one trace per entry and runs
     #: :func:`repro.pipeline.smt.simulate_smt` instead of ``simulate``.

@@ -85,7 +85,7 @@ def _run_smt_job(spec: JobSpec) -> tuple[str, SimulationResult, float]:
     traces = [_memo_trace(prog, spec.trace_ops, spec.seed)
               for prog in programs]
     run = simulate_smt(spec.config, traces, warmup=spec.warmup,
-                       measure=spec.measure, engine=spec.engine)
+                       measure=spec.measure)
     result = run.aggregate
     EnergyModel().annotate(result, spec.config)
     return spec.key, result, time.perf_counter() - started
@@ -113,7 +113,7 @@ def _run_job(spec: JobSpec) -> tuple[str, SimulationResult, float]:
                       measure=spec.measure, policy=spec.policy,
                       sanitize=spec.sanitize,
                       fast_forward=spec.fast_forward,
-                      telemetry=probe, engine=spec.engine)
+                      telemetry=probe)
     EnergyModel().annotate(result, spec.config)
     if probe is not None:
         probe.telemetry.to_jsonl(

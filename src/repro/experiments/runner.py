@@ -64,11 +64,6 @@ class Settings:
     #: digest-neutral, so — unlike ``sanitize`` — cached results stay
     #: valid; a cached job re-executes only if its artifact is missing.
     telemetry_period: int = 0
-    #: execution-engine backend for every simulation (None = config
-    #: default, i.e. reference).  Engines are behaviourally identical
-    #: (see :mod:`repro.pipeline.engine`), so the choice is absent from
-    #: result keys and a warm cache serves either engine.
-    engine: str | None = None
 
     @property
     def trace_ops(self) -> int:
@@ -192,8 +187,7 @@ class Sweep:
                 measure=settings.measure, trace_ops=settings.trace_ops,
                 sanitize=settings.sanitize,
                 telemetry_period=settings.telemetry_period,
-                telemetry_dir=telemetry_dir,
-                engine=settings.engine))
+                telemetry_dir=telemetry_dir))
             result = result_cache.placeholder_result(program, config)
             self._results[key] = result
             return result
@@ -224,8 +218,7 @@ class Sweep:
                           measure=settings.measure,
                           policy=policy,
                           sanitize=settings.sanitize,
-                          telemetry=probe,
-                          engine=settings.engine)
+                          telemetry=probe)
         self.energy.annotate(result, config)
         self.sim_runs += 1
         if probe is not None and artifact is not None:
@@ -285,14 +278,8 @@ def cli_settings(argv=None, description: str = "") -> Settings:
                              "simulation, sampled every PERIOD cycles "
                              "(default 256 when the flag is given bare); "
                              "artifacts land under the cache directory")
-    parser.add_argument("--engine", choices=("reference", "fast"),
-                        default=None,
-                        help="execution engine for every simulation "
-                             "(host-speed knob; results and cache keys "
-                             "are engine-independent)")
     args = parser.parse_args(argv)
     return Settings(all_programs=not args.selected, warmup=args.warmup,
                     measure=args.measure, seed=args.seed,
                     sanitize=args.sanitize,
-                    telemetry_period=args.telemetry,
-                    engine=args.engine)
+                    telemetry_period=args.telemetry)

@@ -14,17 +14,9 @@ grown and shrunk at run time — the substrate the paper's contribution
 
 from repro.pipeline.resources import WindowResource, WindowSet
 from repro.pipeline.core import Processor, InFlightOp, simulate
-from repro.pipeline.engine import (
-    ENGINE_NAMES,
-    Engine,
-    FastEngine,
-    ReferenceEngine,
-    get_engine,
-)
 from repro.pipeline.tracer import PipelineTracer, OpRecord
 from repro.pipeline.smt import SMTProcessor, SMTRun, simulate_smt
 
 __all__ = ["WindowResource", "WindowSet", "Processor", "InFlightOp",
            "simulate", "PipelineTracer", "OpRecord",
-           "Engine", "ReferenceEngine", "FastEngine", "get_engine",
-           "ENGINE_NAMES", "SMTProcessor", "SMTRun", "simulate_smt"]
+           "SMTProcessor", "SMTRun", "simulate_smt"]

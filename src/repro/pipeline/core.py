@@ -19,9 +19,10 @@ This is the SimpleScalar-replacement substrate of the reproduction: a
 * in-order commit, branch misprediction recovery with a level-dependent
   penalty, and the level-transition machinery of the resizing scheme.
 
-The main loop is cycle-driven but *fast-forwards* over provably idle
-cycles (long memory stalls), which keeps memory-bound simulations fast
-without changing observable timing.
+:meth:`Processor.run` is the main loop.  It is cycle-driven but
+*fast-forwards* over provably idle cycles (long memory stalls), which
+keeps memory-bound simulations fast without changing observable timing
+(DESIGN.md §6 states the two quiescence obligations behind the jump).
 """
 
 from __future__ import annotations
@@ -131,10 +132,6 @@ class InFlightOp:
 
 class Processor:
     """One simulated processor instance running one trace."""
-
-    #: SMT subclasses set True; the fast engine checks this to defer to
-    #: the reference stepper (see :mod:`repro.pipeline.smt`)
-    is_smt = False
 
     def __init__(self, config: ProcessorConfig, trace: "Trace",
                  policy: ResizingPolicy | None = None,
@@ -1091,8 +1088,7 @@ def simulate(config: ProcessorConfig, trace: "Trace",
              policy: ResizingPolicy | None = None,
              prewarm: bool = True, sanitize: bool = False,
              fast_forward: bool = True,
-             telemetry=None,
-             engine: str | None = None) -> SimulationResult:
+             telemetry=None) -> SimulationResult:
     """Run one trace on one configuration and return the measured result.
 
     The caches are pre-installed with the trace's resident regions
@@ -1119,32 +1115,20 @@ def simulate(config: ProcessorConfig, trace: "Trace",
     canonical stat digest is bit-identical to a ``telemetry=None`` run
     (the digest-neutrality invariant of :mod:`repro.telemetry`, enforced
     by ``tests/test_telemetry.py``).
-
-    ``engine`` selects the main-loop backend (``"reference"`` or
-    ``"fast"``, see :mod:`repro.pipeline.engine`); ``None`` falls back
-    to ``config.engine``.  Engines are behaviourally identical — the
-    choice never appears in a result key or digest — so it is a pure
-    host-speed knob.  The fast engine transparently defers to the
-    reference stepper whenever per-cycle observers are attached
-    (``sanitize=True``, ``telemetry``, ``fast_forward=False``).
     """
     if len(trace.ops) < warmup + measure:
         raise ValueError(
             f"trace has {len(trace.ops)} ops; need {warmup + measure}")
-    # Imported here: repro.pipeline.engine imports this module.
-    from repro.pipeline.engine import get_engine
-    eng = get_engine(engine if engine is not None
-                     else getattr(config, "engine", "reference"))
     proc = Processor(config, trace, policy=policy, sanitize=sanitize)
     proc.fast_forward = fast_forward
     if prewarm:
         proc.prewarm()
     if warmup:
-        eng.run(proc, until_committed=warmup)
+        proc.run(until_committed=warmup)
         proc.reset_measurement()
     if telemetry is not None:
         telemetry.attach(proc)
-    eng.run(proc, until_committed=warmup + measure)
+    proc.run(until_committed=warmup + measure)
     if proc.debug is not None:
         proc.debug.final_check()
     if telemetry is not None:

@@ -34,9 +34,6 @@ Design notes:
   occupancy exceeds its new quota simply cannot dispatch until it
   drains — the SMT analogue of the paper's ``stop_alloc`` drain, so
   the detectors run against an always-shrinkable window view.
-* Engines: :func:`repro.pipeline.engine._must_defer` returns True for
-  SMT processors, so the FastEngine explicitly falls back to this
-  module's reference stepper.
 
 Per-thread stall-slot CPI attribution (digest-excluded) is not
 maintained; every digest-visible counter is kept per thread.
@@ -166,8 +163,6 @@ class SMTThread:
 
 class SMTProcessor(Processor):
     """One SMT core running 2-4 traces over a shared window."""
-
-    is_smt = True
 
     def __init__(self, config: ProcessorConfig, traces: list["Trace"],
                  validate: bool = False) -> None:
@@ -982,32 +977,27 @@ class SMTRun:
 
 def simulate_smt(config: ProcessorConfig, traces: list["Trace"],
                  warmup: int = 3_000, measure: int = 8_000,
-                 prewarm: bool = True, engine: str | None = None,
+                 prewarm: bool = True,
                  validate: bool = False) -> SMTRun:
     """Run one SMT core over per-thread traces and return all results.
 
     Mirrors :func:`repro.pipeline.core.simulate`: prewarm, run until
     every thread commits ``warmup`` ops, reset measurement, run until
-    every thread commits ``warmup + measure``.  ``engine`` resolves via
-    the PR 6 engine interface; the fast engine detects ``is_smt`` and
-    explicitly falls back to the SMT reference stepper.  ``validate``
-    checks the partition invariants after every step (slow; the verify
-    oracles use it).
+    every thread commits ``warmup + measure``.  ``validate`` checks the
+    partition invariants after every step (slow; the verify oracles use
+    it).
     """
     for trace in traces:
         if len(trace.ops) < warmup + measure:
             raise ValueError(f"trace {trace.name!r} has {len(trace.ops)} "
                              f"ops; need {warmup + measure}")
-    from repro.pipeline.engine import get_engine
-    eng = get_engine(engine if engine is not None
-                     else getattr(config, "engine", "reference"))
     proc = SMTProcessor(config, traces, validate=validate)
     if prewarm:
         proc.prewarm()
     if warmup:
-        eng.run(proc, until_committed=warmup)
+        proc.run(until_committed=warmup)
         proc.reset_measurement()
-    eng.run(proc, until_committed=warmup + measure)
+    proc.run(until_committed=warmup + measure)
     if validate:
         proc.check_invariants()
     return SMTRun(threads=proc.results(), aggregate=proc.aggregate_result())

@@ -39,11 +39,6 @@ def serve_main(argv=None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="memory-only store: no persistence, no "
                              "cross-restart dedup, telemetry disabled")
-    parser.add_argument("--engine", choices=("reference", "fast"),
-                        default=None,
-                        help="execution engine for every job (host-speed "
-                             "knob; results and cache keys are "
-                             "engine-independent)")
     args = parser.parse_args(argv)
 
     from repro.service.server import SimulationService
@@ -52,8 +47,7 @@ def serve_main(argv=None) -> int:
     service = SimulationService(
         host=args.host, port=args.port, workers=args.workers,
         queue_limit=args.queue_limit, job_timeout=args.timeout,
-        max_retries=args.retries, cache_dir=cache_dir,
-        engine=args.engine)
+        max_retries=args.retries, cache_dir=cache_dir)
     banner = (f"workers={service.workers}, "
               f"queue_limit={service.queue_limit}, "
               f"cache={service.store.directory or 'memory-only'}")
@@ -111,15 +105,12 @@ def worker_main(argv=None) -> int:
     parser.add_argument("--shared-cache", type=str, default=None,
                         help="shared store tier (default: the path the "
                              "coordinator advertises at registration)")
-    parser.add_argument("--engine", choices=("reference", "fast"),
-                        default=None,
-                        help="execution engine for every job")
     args = parser.parse_args(argv)
 
     from repro.service.cluster import WorkerAgent
     agent = WorkerAgent(args.coordinator, name=args.name,
                         slots=args.slots, cache_dir=args.cache_dir,
-                        shared_dir=args.shared_cache, engine=args.engine)
+                        shared_dir=args.shared_cache)
     return agent.run()
 
 

@@ -66,7 +66,7 @@ class WorkerAgent:
 
     def __init__(self, coordinator: str, *, name: str | None = None,
                  slots: int = 1, cache_dir: str | None = None,
-                 shared_dir: str | None = None, engine: str | None = None,
+                 shared_dir: str | None = None,
                  lease_wait: float = 2.0, retry_interval: float = 1.0) -> None:
         if slots < 1:
             raise ValueError("slots must be >= 1")
@@ -81,7 +81,6 @@ class WorkerAgent:
         #: shared tier; None = take the coordinator's answer at
         #: registration (same-box/NFS deployments)
         self.shared_dir = shared_dir
-        self.engine = engine
         self.lease_wait = lease_wait
         self.retry_interval = retry_interval
         self.worker_id: str | None = None
@@ -194,8 +193,7 @@ class WorkerAgent:
         try:
             spec = build_spec(
                 grant.get("payload") or {},
-                telemetry_dir=telemetry_dir(self.store.shared),
-                engine=self.engine)
+                telemetry_dir=telemetry_dir(self.store.shared))
             if spec.key != key:
                 raise ValidationError(
                     f"content-address mismatch: coordinator says "

@@ -48,17 +48,11 @@ class JobFrontendBase(HttpServiceBase):
     """HTTP job API over an abstract execution fabric."""
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 8321,
-                 queue_limit: int = 32, store: ResultStore,
-                 engine: str | None = None) -> None:
+                 queue_limit: int = 32, store: ResultStore) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         super().__init__(host=host, port=port)
         self.queue_limit = queue_limit
-        #: execution engine every admitted job runs on (None = config
-        #: default).  A pure host-speed knob: results, digests and
-        #: store keys are engine-independent, so switching it never
-        #: invalidates the cache or the dedup-by-key path.
-        self.engine = engine
         self.store = store
         self.metrics = ServiceMetrics()
         self.draining = False
@@ -151,8 +145,7 @@ class JobFrontendBase(HttpServiceBase):
         errors = []
         for index, payload in enumerate(payloads):
             try:
-                specs.append(build_spec(payload, telemetry_dir=tdir,
-                                        engine=self.engine))
+                specs.append(build_spec(payload, telemetry_dir=tdir))
             except ValidationError as exc:
                 errors.append({"index": index, "error": str(exc)})
         if errors:

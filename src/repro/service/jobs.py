@@ -143,13 +143,8 @@ def _apply_overrides(config: ProcessorConfig, overrides: dict) -> ProcessorConfi
 
 
 def build_spec(payload: dict, *, sanitize: bool = False,
-               telemetry_dir: str | None = None,
-               engine: str | None = None) -> JobSpec:
+               telemetry_dir: str | None = None) -> JobSpec:
     """Validate one job request and return its executable spec.
-
-    ``engine`` is the server-side execution-engine selection (the
-    ``--engine`` serve flag); it rides the spec but not the result key,
-    because engines are behaviourally identical by contract.
 
     Raises :class:`ValidationError` with a message that names the
     offending field; the server turns that into a 400 with the message
@@ -268,7 +263,7 @@ def build_spec(payload: dict, *, sanitize: bool = False,
                    trace_ops=trace_ops, sanitize=sanitize,
                    telemetry_period=telemetry_period,
                    telemetry_dir=telemetry_dir if telemetry_period else None,
-                   engine=engine, smt_programs=smt_programs)
+                   smt_programs=smt_programs)
 
 
 def result_to_json(result: SimulationResult) -> dict:

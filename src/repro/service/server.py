@@ -62,8 +62,7 @@ class SimulationService(JobFrontendBase):
                  job_timeout: float = 120.0, max_retries: int = 2,
                  retry_backoff: float = 0.25,
                  cache_dir: str | None = "",
-                 store: ResultStore | None = None,
-                 engine: str | None = None) -> None:
+                 store: ResultStore | None = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if store is None:
@@ -71,7 +70,7 @@ class SimulationService(JobFrontendBase):
                          else cache_dir)
             store = ResultStore(directory)
         super().__init__(host=host, port=port, queue_limit=queue_limit,
-                         store=store, engine=engine)
+                         store=store)
         self.workers = workers
         self.job_timeout = job_timeout
         self.max_retries = max_retries

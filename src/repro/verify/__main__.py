@@ -5,26 +5,19 @@ Subcommands:
 * ``oracles`` — run the differential/metamorphic oracle suite on the
   smoke corpus (default when no subcommand is given);
 * ``check`` — recompute the smoke-corpus stat digests and compare them
-  against the committed ``results/golden_digests.json``; ``--engine
-  fast`` recomputes them with the fast engine (the goldens are always
-  regenerated with the reference engine, so this doubles as an
-  equivalence check);
+  against the committed ``results/golden_digests.json``;
 * ``regen`` — recompute and rewrite the golden file (do this in the
   same commit as an intentional ``SIM_VERSION`` bump);
-* ``engines`` — the engine-equivalence oracle over the *full* program
-  table (reference vs fast digest identity per program and model);
 * ``fuzz`` — random-trace paired-run fuzzing through the parallel
-  campaign executor (``--engines`` pairs the two execution engines
-  instead of the ff/pin kinds);
+  campaign executor;
 * ``riscv`` — the trace-frontend oracle suite
   (:mod:`repro.verify.riscv_oracles`): decode round-trip, digest
-  determinism, reference↔fast bit-identity and committed golden
-  digests over the ``benchmarks/riscv`` corpus (``--regen`` rewrites
+  determinism and committed golden digests over the
+  ``benchmarks/riscv`` corpus (``--regen`` rewrites
   ``results/riscv_golden_digests.json``);
 * ``smt`` — the SMT oracle suite (:mod:`repro.verify.smt_oracles`):
   per-thread digest determinism, single-thread-SMT ≡ baseline
-  pin-equivalence, per-cycle partition invariants and the fast-engine
-  fallback identity.
+  pin-equivalence and per-cycle partition invariants.
 
 Exit status is 0 iff every requested check passed.
 """
@@ -54,31 +47,19 @@ def main(argv: list[str] | None = None) -> int:
 
     p_check = sub.add_parser("check", help="check golden digests")
     p_check.add_argument("--path", default=GOLDEN_PATH)
-    p_check.add_argument("--engine", choices=("reference", "fast"),
-                         default=None,
-                         help="execution engine recomputing the digests "
-                              "(default: reference)")
 
     p_regen = sub.add_parser("regen", help="regenerate golden digests")
     p_regen.add_argument("--path", default=GOLDEN_PATH)
 
-    p_engines = sub.add_parser(
-        "engines", help="engine-equivalence oracle over the full table")
-    p_engines.add_argument("--programs", nargs="+", default=None,
-                           help="programs (default: the full table)")
-
     p_riscv = sub.add_parser(
         "riscv", help="riscv trace-frontend oracles (round-trip, "
-                      "determinism, engine identity, goldens)")
+                      "determinism, goldens)")
     p_riscv.add_argument("--programs", nargs="+", default=None,
                          help="riscv:<kernel> names (default: the "
                               "whole committed corpus)")
     p_riscv.add_argument("--path", default=None,
                          help="riscv golden digest file (default: "
                               "results/riscv_golden_digests.json)")
-    p_riscv.add_argument("--engine", choices=("reference", "fast"),
-                         default=None,
-                         help="engine recomputing the golden digests")
     p_riscv.add_argument("--regen", action="store_true",
                          help="rewrite the riscv golden file instead "
                               "of checking it")
@@ -95,9 +76,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker processes (default: all cores)")
     p_fuzz.add_argument("--seed", type=int, default=1,
                         help="base seed; same seed replays the session")
-    p_fuzz.add_argument("--engines", action="store_true",
-                        help="pair the reference and fast execution "
-                             "engines instead of the ff/pin kinds")
 
     args = parser.parse_args(argv)
     command = args.command or "oracles"
@@ -106,11 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         outcomes = run_all_oracles(tuple(args.programs)
                                    if args.command else SMOKE_CORPUS)
     elif command == "check":
-        outcomes = check_golden(args.path, engine=args.engine)
-    elif command == "engines":
-        from repro.verify.oracles import check_engine_equivalence
-        outcomes = check_engine_equivalence(
-            tuple(args.programs) if args.programs else None)
+        outcomes = check_golden(args.path)
     elif command == "riscv":
         from repro.verify.riscv_oracles import (RISCV_GOLDEN_PATH,
                                                 run_riscv_oracles,
@@ -122,8 +96,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {cells} riscv digests for SIM_VERSION "
                   f"{payload['sim_version']} to {path}")
             return 0
-        outcomes = run_riscv_oracles(args.programs, golden_path=path,
-                                     engine=args.engine)
+        outcomes = run_riscv_oracles(args.programs, golden_path=path)
     elif command == "smt":
         from repro.verify.smt_oracles import run_smt_oracles
         outcomes = run_smt_oracles(args.programs)
@@ -136,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         from repro.verify.fuzz import run_fuzz
         outcomes = run_fuzz(n_pairs=args.pairs, jobs=args.jobs,
-                            base_seed=args.seed, engines=args.engines)
+                            base_seed=args.seed)
 
     print(report(outcomes))
     return 0 if all(o.passed for o in outcomes) else 1

@@ -6,13 +6,7 @@ runs one *pair* of simulations whose results must be bit-identical:
 * an ``ff`` pair — the dynamic model with and without idle-cycle
   fast-forwarding;
 * a ``pin`` pair — :class:`~repro.core.StaticPolicy` at a random level
-  against a random adaptive policy pinned to that level;
-* with ``engines=True`` (``--engines``), an ``engine`` pair instead —
-  the same run on the reference and the fast execution engine
-  (:mod:`repro.pipeline.engine`), alternating the dynamic model with a
-  random adaptive policy and a random fixed level.  The engine choice
-  is not part of the result key, so the fast run keys itself apart via
-  ``key_extra``.
+  against a random adaptive policy pinned to that level.
 
 The pairs are fanned out through the PR-1 parallel campaign executor
 (:func:`repro.experiments.parallel.execute_campaign`) over an
@@ -25,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from repro.config import dynamic_config, fixed_config
+from repro.config import dynamic_config
 from repro.core import StaticPolicy, make_policy
 from repro.experiments.cache import JobRecorder, JobSpec, ResultStore, result_key
 from repro.experiments.parallel import execute_campaign
@@ -39,8 +33,7 @@ FUZZ_MEASURE = 4_000
 FUZZ_TRACE_OPS = FUZZ_WARMUP + FUZZ_MEASURE + 1_000
 
 
-def _pair_for(index: int, base_seed: int,
-              engines: bool = False) -> tuple[str, str, JobSpec, JobSpec]:
+def _pair_for(index: int, base_seed: int) -> tuple[str, str, JobSpec, JobSpec]:
     """The ``index``-th deterministic fuzz pair: (kind, subject, a, b)."""
     rng = random.Random((base_seed << 20) ^ index)
     program = rng.choice(program_names())
@@ -51,31 +44,6 @@ def _pair_for(index: int, base_seed: int,
                   trace_ops=FUZZ_TRACE_OPS)
     key_args = dict(seed=seed, warmup=FUZZ_WARMUP, measure=FUZZ_MEASURE,
                     trace_ops=FUZZ_TRACE_OPS)
-    if engines:
-        # engine pair: identical run, reference vs fast backend.  Like
-        # fast_forward, the engine is deliberately absent from the
-        # result key, so the fast run disambiguates via key_extra.
-        if index % 2 == 0:
-            name = rng.choice(ADAPTIVE_POLICIES)
-            make = lambda: make_policy(name, config.max_level,   # noqa: E731
-                                       config.memory.min_latency)
-            subject_cfg = f"dynamic/{name}"
-        else:
-            level = rng.randrange(1, config.max_level + 1)
-            config = fixed_config(level)
-            common["config"] = config
-            make = lambda: None                                  # noqa: E731
-            subject_cfg = f"fixed L{level}"
-        policy_a, policy_b = make(), make()
-        spec_a = JobSpec(key=result_key(program, config, policy=policy_a,
-                                        **key_args),
-                         policy=policy_a, engine="reference", **common)
-        spec_b = JobSpec(key=result_key(program, config, policy=policy_b,
-                                        key_extra=("engine", "fast"),
-                                        **key_args),
-                         policy=policy_b, engine="fast", **common)
-        return ("fuzz-engine", f"{program} seed={seed} {subject_cfg}",
-                spec_a, spec_b)
     if index % 2 == 0:
         # ff pair: same policy, fast-forward on vs off.  fast_forward is
         # (deliberately) not part of the result key, so the off-run keys
@@ -106,15 +74,9 @@ def _pair_for(index: int, base_seed: int,
 
 
 def run_fuzz(n_pairs: int = 8, jobs: int | None = None,
-             base_seed: int = 1,
-             engines: bool = False) -> list[OracleOutcome]:
-    """Run ``n_pairs`` random differential pairs; returns outcomes.
-
-    ``engines=True`` switches every pair to the reference-vs-fast
-    engine kind (the ``--engines`` CLI mode).
-    """
-    pairs = [_pair_for(i, base_seed, engines=engines)
-             for i in range(n_pairs)]
+             base_seed: int = 1) -> list[OracleOutcome]:
+    """Run ``n_pairs`` random differential pairs; returns outcomes."""
+    pairs = [_pair_for(i, base_seed) for i in range(n_pairs)]
     recorder = JobRecorder()
     for __, ___, spec_a, spec_b in pairs:
         recorder.record(spec_a)

@@ -39,20 +39,14 @@ def _config_for(model: str):
     raise ValueError(f"unknown golden model {model!r}")
 
 
-def compute_digests(programs=SMOKE_CORPUS, models=GOLDEN_MODELS,
-                    engine: str | None = None) -> dict[str, dict[str, str]]:
-    """Digest every (program, model) golden cell at smoke scale.
-
-    ``engine`` selects the main-loop backend; digests are engine-
-    independent by contract, so ``check --engine fast`` doubles as an
-    equivalence check against reference-computed goldens.
-    """
+def compute_digests(programs=SMOKE_CORPUS,
+                    models=GOLDEN_MODELS) -> dict[str, dict[str, str]]:
+    """Digest every (program, model) golden cell at smoke scale."""
     digests: dict[str, dict[str, str]] = {}
     for program in programs:
         trace = smoke_trace(program)
         digests[program] = {
-            model: result_digest(_smoke_run(_config_for(model), trace,
-                                            engine=engine))
+            model: result_digest(_smoke_run(_config_for(model), trace))
             for model in models}
     return digests
 
@@ -81,16 +75,12 @@ def write_golden(path: str = GOLDEN_PATH, programs=SMOKE_CORPUS,
     return payload
 
 
-def check_golden(path: str = GOLDEN_PATH,
-                 engine: str | None = None) -> list:
+def check_golden(path: str = GOLDEN_PATH) -> list:
     """Compare freshly computed digests against the committed file.
 
     Returns :class:`~repro.verify.oracles.OracleOutcome` records, one
     per golden cell plus one for the version key, so a drift report
-    names exactly which program/model cells moved.  ``engine`` selects
-    the backend recomputing the digests (the committed file is always
-    regenerated with the reference engine; any backend must reproduce
-    it bit for bit).
+    names exactly which program/model cells moved.
     """
     from repro.pipeline.core import SIM_VERSION
     from repro.verify.oracles import OracleOutcome
@@ -114,7 +104,7 @@ def check_golden(path: str = GOLDEN_PATH,
     recorded = golden.get("digests", {})
     programs = golden.get("corpus", {}).get("programs", list(recorded))
     models = golden.get("corpus", {}).get("models", list(GOLDEN_MODELS))
-    fresh = compute_digests(programs, models, engine=engine)
+    fresh = compute_digests(programs, models)
     for program in programs:
         for model in models:
             want = recorded.get(program, {}).get(model)

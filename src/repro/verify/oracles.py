@@ -87,11 +87,10 @@ def smoke_trace(program: str, seed: int = SMOKE_SEED,
 
 
 def _smoke_run(config: ProcessorConfig, trace: Trace, *,
-               policy=None, fast_forward: bool = True,
-               engine: str | None = None):
+               policy=None, fast_forward: bool = True):
     return simulate(config, trace, warmup=SMOKE_WARMUP,
                     measure=SMOKE_MEASURE, policy=policy,
-                    fast_forward=fast_forward, engine=engine)
+                    fast_forward=fast_forward)
 
 
 def _digest_mismatch_detail(res_a, res_b, limit: int = 4) -> str:
@@ -343,17 +342,13 @@ def check_seeded_replay(programs=SEEDED_REPLAY_PROGRAMS,
     """Seeded exploration must replay bit-identically, and the seed
     must key the result.
 
-    Three relations per (program, bandit kind):
+    Two relations per (program, bandit kind):
 
     * *replay* — two runs with the same seed, fresh policy objects,
       produce bit-identical stat digests.  Any divergence means the
       exploration sequence leaked state from somewhere other than
       ``(seed, draw_index)`` — host hash order, process state, a
       stale class attribute;
-    * *engine replay* — the same seeded run on the reference and fast
-      engines is bit-identical.  The bandit ticks every cycle, so this
-      is the policy-timer quiescence obligation exercised through the
-      learned controller's own state machine;
     * *seed keying* — different seeds yield different ``result_key``
       content addresses (the seed rides the policy fingerprint), so a
       cached campaign can never serve seed A's run for seed B.
@@ -372,19 +367,12 @@ def check_seeded_replay(programs=SEEDED_REPLAY_PROGRAMS,
         for kind in ("ucb", "egreedy"):
             subject = f"{program} bandit:{kind}"
             ref = _smoke_run(config, trace, policy=bandit(kind, seeds[0]))
-            ref_digest = result_digest(ref)
             replay = _smoke_run(config, trace,
                                 policy=bandit(kind, seeds[0]))
-            same = result_digest(replay) == ref_digest
+            same = result_digest(replay) == result_digest(ref)
             outcomes.append(OracleOutcome(
                 "seeded-replay", f"{subject} same-seed digest", same,
                 "" if same else _digest_mismatch_detail(ref, replay)))
-            fast = _smoke_run(config, trace, engine="fast",
-                              policy=bandit(kind, seeds[0]))
-            same = result_digest(fast) == ref_digest
-            outcomes.append(OracleOutcome(
-                "seeded-replay", f"{subject} engine digest", same,
-                "" if same else _digest_mismatch_detail(ref, fast)))
             keys = [result_key(program, config, seed=SMOKE_SEED,
                                warmup=SMOKE_WARMUP, measure=SMOKE_MEASURE,
                                trace_ops=SMOKE_TRACE_OPS,
@@ -424,43 +412,6 @@ def check_fast_forward_equivalence(programs=SMOKE_CORPUS) -> list[OracleOutcome]
 
 
 # ----------------------------------------------------------------------
-# 5. engine equivalence
-
-
-def check_engine_equivalence(programs=None) -> list[OracleOutcome]:
-    """The fast engine must be bit-identical to the reference stepper.
-
-    :mod:`repro.pipeline.engine` promises behavioural identity: the
-    batched event-driven stepper may only skip cycles in which no stage
-    could do observable work (the quiescence obligations of DESIGN.md).
-    Each program runs reference-vs-fast on the dynamic model (policy
-    timers, level transitions and transition-stall accounting are the
-    states a wrong jump would skew) and on the base fixed configuration
-    (the pure machine-quiescence case); the stat digests must match bit
-    for bit.
-
-    Defaults to the **full** program table — this is the oracle that
-    licenses ``--engine fast`` everywhere else, so it earns the wider
-    net than the smoke corpus (pass ``programs`` to narrow it).
-    """
-    from repro.workloads import program_names
-    if programs is None:
-        programs = program_names()
-    outcomes = []
-    for program in programs:
-        trace = smoke_trace(program)
-        for label, config in (("dynamic", dynamic_config(3)),
-                              ("fixed1", fixed_config(1))):
-            ref = _smoke_run(config, trace, engine="reference")
-            fast = _smoke_run(config, trace, engine="fast")
-            same = result_digest(ref) == result_digest(fast)
-            outcomes.append(OracleOutcome(
-                "engine-equivalence", f"{program} {label}", same,
-                "" if same else _digest_mismatch_detail(ref, fast)))
-    return outcomes
-
-
-# ----------------------------------------------------------------------
 
 
 def run_all_oracles(programs=SMOKE_CORPUS) -> list[OracleOutcome]:
@@ -481,5 +432,4 @@ def run_all_oracles(programs=SMOKE_CORPUS) -> list[OracleOutcome]:
         tuple(p for p in programs if p in SEEDED_REPLAY_PROGRAMS)
         or SEEDED_REPLAY_PROGRAMS)
     outcomes += check_fast_forward_equivalence(programs)
-    outcomes += check_engine_equivalence(programs)
     return outcomes

@@ -1,6 +1,6 @@
 """Oracle family for the RISC-V trace ingestion frontend.
 
-Four checks per corpus program, all at the standard smoke scale
+Three checks per corpus program, all at the standard smoke scale
 (``SMOKE_WARMUP``/``SMOKE_MEASURE``):
 
 * **decode round-trip** — text → binary → text preserves every record
@@ -8,8 +8,6 @@ Four checks per corpus program, all at the standard smoke scale
   ``MicroOp`` streams;
 * **digest determinism** — two independently built traces of the same
   (program, seed) produce bit-identical stat digests;
-* **engine identity** — the reference and fast engines agree bit for
-  bit on the dynamic model;
 * **golden digests** — a committed
   ``results/riscv_golden_digests.json`` pins fixed1 + dynamic per
   program, exactly like the synthetic golden file.
@@ -28,8 +26,7 @@ from repro.config import dynamic_config, fixed_config
 from repro.experiments.cache import result_key
 from repro.verify.digest import result_digest
 from repro.verify.oracles import (OracleOutcome, SMOKE_MEASURE, SMOKE_SEED,
-                                  SMOKE_TRACE_OPS, SMOKE_WARMUP, _smoke_run,
-                                  _digest_mismatch_detail)
+                                  SMOKE_TRACE_OPS, SMOKE_WARMUP, _smoke_run)
 from repro.workloads.riscv import (RiscvTraceProgram, content_hash,
                                    load_corpus_program, pack, parse_text,
                                    render_text, riscv_program_names,
@@ -99,21 +96,6 @@ def check_determinism(programs) -> list[OracleOutcome]:
     return outcomes
 
 
-def check_engine_identity(programs) -> list[OracleOutcome]:
-    """Reference vs fast engine: bit-identical dynamic-model digests."""
-    outcomes = []
-    for name in programs:
-        trace = load_corpus_program(name).trace(SMOKE_TRACE_OPS,
-                                                seed=SMOKE_SEED)
-        ref = _smoke_run(dynamic_config(3), trace, engine="reference")
-        fast = _smoke_run(dynamic_config(3), trace, engine="fast")
-        passed = result_digest(ref) == result_digest(fast)
-        outcomes.append(OracleOutcome(
-            "rv-engines", name, passed,
-            "" if passed else _digest_mismatch_detail(ref, fast)))
-    return outcomes
-
-
 def check_cache_identity(programs) -> list[OracleOutcome]:
     """Result keys are content-addressed by the trace hash."""
     outcomes = []
@@ -153,16 +135,13 @@ def check_cache_identity(programs) -> list[OracleOutcome]:
 # -------------------------------------------------------------- golden
 
 
-def compute_riscv_digests(programs,
-                          models=RISCV_GOLDEN_MODELS,
-                          engine: str | None = None) -> dict:
+def compute_riscv_digests(programs, models=RISCV_GOLDEN_MODELS) -> dict:
     digests: dict[str, dict[str, str]] = {}
     for name in programs:
         trace = load_corpus_program(name).trace(SMOKE_TRACE_OPS,
                                                 seed=SMOKE_SEED)
         digests[name] = {
-            model: result_digest(_smoke_run(_config_for(model), trace,
-                                            engine=engine))
+            model: result_digest(_smoke_run(_config_for(model), trace))
             for model in models}
     return digests
 
@@ -191,8 +170,7 @@ def write_riscv_golden(path: str = RISCV_GOLDEN_PATH,
     return payload
 
 
-def check_riscv_golden(path: str = RISCV_GOLDEN_PATH,
-                       engine: str | None = None) -> list[OracleOutcome]:
+def check_riscv_golden(path: str = RISCV_GOLDEN_PATH) -> list[OracleOutcome]:
     """Compare fresh corpus digests against the committed file."""
     from repro.pipeline.core import SIM_VERSION
     try:
@@ -216,7 +194,7 @@ def check_riscv_golden(path: str = RISCV_GOLDEN_PATH,
     programs = golden.get("corpus", {}).get("programs", list(recorded))
     models = golden.get("corpus", {}).get("models",
                                           list(RISCV_GOLDEN_MODELS))
-    fresh = compute_riscv_digests(programs, models, engine=engine)
+    fresh = compute_riscv_digests(programs, models)
     for program in programs:
         for model in models:
             want = recorded.get(program, {}).get(model)
@@ -232,8 +210,8 @@ def check_riscv_golden(path: str = RISCV_GOLDEN_PATH,
 # ----------------------------------------------------------------- all
 
 
-def run_riscv_oracles(programs=None, golden_path: str = RISCV_GOLDEN_PATH,
-                      engine: str | None = None) -> list[OracleOutcome]:
+def run_riscv_oracles(programs=None,
+                      golden_path: str = RISCV_GOLDEN_PATH) -> list[OracleOutcome]:
     """The full riscv oracle suite over the corpus."""
     programs = list(programs or riscv_program_names())
     if not programs:
@@ -243,7 +221,6 @@ def run_riscv_oracles(programs=None, golden_path: str = RISCV_GOLDEN_PATH,
             "`python tools/rv_trace.py generate`")]
     outcomes = check_roundtrip(programs)
     outcomes += check_determinism(programs)
-    outcomes += check_engine_identity(programs)
     outcomes += check_cache_identity(programs)
-    outcomes += check_riscv_golden(golden_path, engine=engine)
+    outcomes += check_riscv_golden(golden_path)
     return outcomes

@@ -1,6 +1,6 @@
 """Oracles for the SMT pipeline (:mod:`repro.pipeline.smt`).
 
-Four families, all smoke-scale (see :mod:`repro.verify.oracles` for the
+Three families, all smoke-scale (see :mod:`repro.verify.oracles` for the
 philosophy — every relation here holds *by construction*, so any
 violation is a simulator bug regardless of sample size):
 
@@ -21,10 +21,6 @@ violation is a simulator bug regardless of sample size):
   policy with per-cycle invariant validation on: partitions never
   overlap nor exceed the active capacity (quota sums, occupancy sums,
   per-thread minimums), and every thread commits its trace in order.
-
-* **smt-engines** — the fast engine must *explicitly* fall back to the
-  SMT reference stepper (``is_smt`` deferral), so running under
-  ``engine="fast"`` is digest-identical to ``engine="reference"``.
 """
 
 from __future__ import annotations
@@ -55,14 +51,13 @@ SMT_MIXES: tuple[tuple[str, ...], ...] = (
 
 def _smt_run(programs, partition: str, fetch: str, *,
              level: int = 3, validate: bool = False,
-             engine: str | None = None, n_ops: int | None = None):
+             n_ops: int | None = None):
     config = smt_config(threads=len(programs), partition=partition,
                         fetch=fetch, level=level)
     traces = [smoke_trace(p, n_ops=n_ops) if n_ops else smoke_trace(p)
               for p in programs]
     return simulate_smt(config, traces, warmup=SMOKE_WARMUP,
-                        measure=SMOKE_MEASURE, validate=validate,
-                        engine=engine)
+                        measure=SMOKE_MEASURE, validate=validate)
 
 
 def _thread_digest_diff(run_a, run_b, limit: int = 4) -> str:
@@ -150,20 +145,6 @@ def check_smt_invariants(mixes=SMT_MIXES) -> list[OracleOutcome]:
     return outcomes
 
 
-def check_smt_engine_fallback(mixes=SMT_MIXES[:1]) -> list[OracleOutcome]:
-    """engine="fast" defers to the SMT reference stepper: digests equal."""
-    outcomes = []
-    for programs in mixes:
-        subject = "+".join(programs)
-        ref = _smt_run(programs, "mlp", "mlp", engine="reference")
-        fast = _smt_run(programs, "mlp", "mlp", engine="fast")
-        detail = _thread_digest_diff(ref, fast)
-        outcomes.append(OracleOutcome(
-            "smt-engines", f"{subject} reference-vs-fast",
-            passed=not detail, detail=detail))
-    return outcomes
-
-
 def run_smt_oracles(programs=None) -> list[OracleOutcome]:
     """The full SMT oracle suite (``python -m repro.verify smt``).
 
@@ -176,5 +157,4 @@ def run_smt_oracles(programs=None) -> list[OracleOutcome]:
         tuple(programs) if programs else BASELINE_PROGRAMS)
     outcomes += check_smt_determinism()
     outcomes += check_smt_invariants()
-    outcomes += check_smt_engine_fallback()
     return outcomes

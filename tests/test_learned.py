@@ -2,7 +2,7 @@
 
 The determinism contract is the headline: exploration is a pure
 function of ``(seed, draw_index)``, so the same seed replays
-bit-identically across runs, engines and worker processes, a different
+bit-identically across runs and worker processes, a different
 seed keys a different content address, and the sanitizer/telemetry
 instrumentation never perturbs a digest.
 """
@@ -50,12 +50,10 @@ def bandit(kind="ucb", seed=1, **kw):
     return BanditWindowPolicy(CFG.max_level, kind=kind, seed=seed, **kw)
 
 
-def run_smoke(program, policy, *, engine=None, sanitize=False,
-              telemetry=None, seed=1):
+def run_smoke(program, policy, *, sanitize=False, telemetry=None, seed=1):
     trace = generate_trace(profile(program), n_ops=TRACE_OPS, seed=seed)
     return simulate(CFG, trace, warmup=WARMUP, measure=MEASURE,
-                    policy=policy, engine=engine, sanitize=sanitize,
-                    telemetry=telemetry)
+                    policy=policy, sanitize=sanitize, telemetry=telemetry)
 
 
 class TestSeededUnit:
@@ -202,12 +200,6 @@ class TestSeededDeterminism:
         first = run_smoke("libquantum", bandit(kind))
         again = run_smoke("libquantum", bandit(kind))
         assert result_digest(first) == result_digest(again)
-
-    @pytest.mark.parametrize("kind", BANDIT_KINDS)
-    def test_engines_bit_identical(self, kind):
-        ref = run_smoke("libquantum", bandit(kind), engine="reference")
-        fast = run_smoke("libquantum", bandit(kind), engine="fast")
-        assert result_digest(ref) == result_digest(fast)
 
     def test_different_seed_different_result_key(self):
         keys = {result_key("mcf", CFG, seed=1, warmup=WARMUP,

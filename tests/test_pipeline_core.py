@@ -14,9 +14,13 @@ from repro.config import (
     ProcessorConfig,
     ResourceLevel,
     base_config,
+    dynamic_config,
 )
+from repro.debug.errors import DeadlockError
 from repro.isa import MicroOp, OpClass
 from repro.pipeline import Processor
+from repro.verify.digest import result_digest
+from repro.workloads import generate_trace, profile
 
 from tests.conftest import (
     branch,
@@ -291,3 +295,50 @@ class TestRunLoop:
         assert 2000 <= boundary <= 2003
         proc.run(until_committed=4000)
         assert proc.stats.committed_uops == proc.committed_total - boundary
+
+    def test_segmented_run_matches_single_run(self):
+        """Chopping one run into arbitrary run() segments must land on
+        the same state as one uninterrupted run (the warmup/measure
+        split in simulate() relies on exactly this)."""
+        trace = generate_trace(profile("milc"), n_ops=4_000, seed=1)
+        config = dynamic_config(3)
+
+        single = Processor(config, trace)
+        single.prewarm()
+        single.run(until_committed=3_000)
+
+        segmented = Processor(config, trace)
+        segmented.prewarm()
+        for target in (700, 1_234, 2_999, 3_000):
+            segmented.run(until_committed=target)
+        assert segmented.cycle == single.cycle
+        assert segmented.committed_total == single.committed_total
+        assert (result_digest(segmented.result())
+                == result_digest(single.result()))
+
+    def test_livelock_bound_sized_from_remaining_commits(self):
+        """The livelock allowance is elapsed-based: a run() resumed at
+        a high commit count gets a budget for the commits *left*, not
+        for the absolute target."""
+        trace = generate_trace(profile("leslie3d"), n_ops=3_000, seed=1)
+        proc = Processor(base_config(), trace)
+        proc.prewarm()
+        proc.run(until_committed=1_000)
+        entry_cycle = proc.cycle
+
+        # livelock: cycles advance, nothing commits
+        proc.step_cycle = lambda: 1
+        with pytest.raises(DeadlockError, match="livelock"):
+            proc.run(until_committed=1_100)
+        # remaining=100 -> allowance (100 + 1000) * 600, not
+        # (1100 + 1000) * 600
+        assert proc.cycle - entry_cycle <= (100 + 1_000) * 600 + 1
+
+    def test_livelock_explicit_max_cycles_still_respected(self):
+        trace = generate_trace(profile("leslie3d"), n_ops=3_000, seed=1)
+        proc = Processor(base_config(), trace)
+        proc.prewarm()
+        proc.step_cycle = lambda: 1
+        with pytest.raises(DeadlockError):
+            proc.run(until_committed=10, max_cycles=50)
+        assert proc.cycle <= 52

@@ -96,6 +96,9 @@ class TestValidation:
         assert spec.config.memory.min_latency == 400
         with pytest.raises(ValidationError, match="unknown config field"):
             build_spec({"program": "mcf", "config": {"warp_drive": 1}})
+        with pytest.raises(ValidationError,
+                           match="unknown config field 'engine'"):
+            build_spec({"program": "mcf", "config": {"engine": "fast"}})
         with pytest.raises(ValidationError):
             build_spec({"program": "mcf", "config": {"width": -1}})
 
