@@ -17,9 +17,14 @@ from repro.workloads import generate_trace, profile
 MEASURE = 6_000
 
 
-def run_once(config, trace):
+def set_up(config, trace):
     proc = Processor(config, trace)
     proc.prewarm()
+    return proc
+
+
+def run_once(config, trace):
+    proc = set_up(config, trace)
     proc.run(until_committed=MEASURE)
     return proc
 
@@ -46,6 +51,14 @@ def test_speed_memory_bound(benchmark, leslie_trace):
                               rounds=3, iterations=1)
     assert proc.committed_total >= MEASURE
     benchmark.extra_info["simulated_cycles"] = proc.stats.cycles
+
+
+def test_speed_setup(benchmark, leslie_trace):
+    """Construction plus prewarm alone; leslie3d's warm regions fill
+    the whole prewarm budget (20,480 L2 lines)."""
+    proc = benchmark.pedantic(set_up, args=(base_config(), leslie_trace),
+                              rounds=5, iterations=1)
+    assert proc.committed_total == 0
 
 
 def test_speed_memory_bound_mlp(benchmark):

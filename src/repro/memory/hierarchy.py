@@ -351,10 +351,13 @@ class MemoryHierarchy:
         return self.load_latency_sum / self.load_count
 
     def line_usage(self) -> LineUsageStats:
-        """Finalised Fig 11 accounting: evicted lines plus resident ones."""
+        """Finalised Fig 11 accounting: evicted lines plus resident ones.
+
+        L2 sets never built are skipped: they hold only prewarm lines,
+        which the accounting ignores."""
         final = LineUsageStats()
         final.useful = list(self._line_usage.useful)
         final.useless = list(self._line_usage.useless)
-        for line in self.l2.resident_lines():
+        for line in self.l2.built_lines():
             final.record(line)
         return final

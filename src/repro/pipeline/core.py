@@ -1000,44 +1000,30 @@ class Processor:
         Pre-installed lines count as touched correct-path lines in the
         Figure 11 accounting.
         """
-        h = self.hierarchy
+        self._prewarm_regions(self.trace.warm_regions, budget_fraction)
+        pretrain_predictor(self.predictor, self.trace.ops)
+
+    def _prewarm_regions(self, regions, budget_fraction: float,
+                         offset: int = 0) -> None:
+        """Pre-install ``regions`` (shifted by ``offset`` bytes) within
+        ``budget_fraction`` of the L2."""
         # Total prewarm is capped below the L2 capacity and allocated by
         # priority (hot sets first, then the smaller regions) — warming
         # more than fits would just self-evict and manufacture thrash the
         # steady state does not have.
+        h = self.hierarchy
         budget = int(self.config.l2.size_bytes * budget_fraction)
-        regions = sorted(self.trace.warm_regions,
-                         key=lambda r: (not r[2], r[1]))
         line = h.l2.line_bytes
-        for base, size, l1_too in regions:
+        for base, size, l1_too in sorted(regions,
+                                         key=lambda r: (not r[2], r[1])):
             span = min(size, budget)
             span -= span % line
             if span <= 0:
                 break
             budget -= span
-            h.l2.install_span(base, span, ready_at=0, brought_by=-1,
-                              touched=True)
+            h.l2.install_span(base + offset, span, touched=True)
             if l1_too and size <= self.config.l1d.size_bytes:
-                h.l1d.install_span(base, size, ready_at=0, brought_by=-1)
-        self._pretrain_predictor()
-
-    def _pretrain_predictor(self) -> None:
-        """Replay the trace's branch stream through the predictor.
-
-        A 16-bit gshare needs each (PC, history) context trained
-        individually; rare history contexts (those following a rarely
-        taken branch) would otherwise cold-miss throughout a short
-        sample.  The paper's 16G skipped instructions provide exactly
-        this training; we substitute a functional (zero-time) replay of
-        the branch outcomes the sample will execute.
-        """
-        predictor = self.predictor
-        for uop in self.trace.ops:
-            if uop.op is OpClass.BRANCH:
-                __, ___, token = predictor.predict(uop.pc, uop.pc + 4)
-                predictor.resolve(token, uop.taken, uop.target)
-        predictor.predictions = 0
-        predictor.mispredictions = 0
+                h.l1d.install_span(base + offset, size)
 
     def reset_measurement(self) -> None:
         """Zero all statistics (microarchitectural state is retained) —
@@ -1081,6 +1067,24 @@ class Processor:
             },
             stats=stats,
         )
+
+
+def pretrain_predictor(predictor: BranchPredictor, ops) -> None:
+    """Replay a trace's branch stream through ``predictor``.
+
+    A 16-bit gshare needs each (PC, history) context trained
+    individually; rare history contexts (those following a rarely
+    taken branch) would otherwise cold-miss throughout a short
+    sample.  The paper's 16G skipped instructions provide exactly
+    this training; we substitute a functional (zero-time) replay of
+    the branch outcomes the sample will execute.
+    """
+    for uop in ops:
+        if uop.op is OpClass.BRANCH:
+            __, ___, token = predictor.predict(uop.pc, uop.pc + 4)
+            predictor.resolve(token, uop.taken, uop.target)
+    predictor.predictions = 0
+    predictor.mispredictions = 0
 
 
 def simulate(config: ProcessorConfig, trace: "Trace",

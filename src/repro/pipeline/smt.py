@@ -60,6 +60,7 @@ from repro.pipeline.core import (
     Processor,
     _EV_COMPLETE,
     _EV_WAKE,
+    pretrain_predictor,
 )
 from repro.stats import SimStats, SimulationResult, mlp_from_intervals
 
@@ -821,32 +822,11 @@ class SMTProcessor(Processor):
         between threads (same discipline as the multicore split), each
         thread's regions installed at its address-space offset, and
         each thread's predictor pretrained on its own branch stream."""
-        h = self.hierarchy
         per_thread = budget_fraction / self._nthreads
-        line = h.l2.line_bytes
         for thread in self.threads:
-            budget = int(self.config.l2.size_bytes * per_thread)
-            regions = sorted(thread.trace.warm_regions,
-                             key=lambda r: (not r[2], r[1]))
-            off = thread.data_off
-            for base, size, l1_too in regions:
-                span = min(size, budget)
-                span -= span % line
-                if span <= 0:
-                    break
-                budget -= span
-                h.l2.install_span(base + off, span, ready_at=0,
-                                  brought_by=-1, touched=True)
-                if l1_too and size <= self.config.l1d.size_bytes:
-                    h.l1d.install_span(base + off, size, ready_at=0,
-                                       brought_by=-1)
-            predictor = thread.predictor
-            for uop in thread.trace.ops:
-                if uop.op is OpClass.BRANCH:
-                    __, ___, token = predictor.predict(uop.pc, uop.pc + 4)
-                    predictor.resolve(token, uop.taken, uop.target)
-            predictor.predictions = 0
-            predictor.mispredictions = 0
+            self._prewarm_regions(thread.trace.warm_regions, per_thread,
+                                  thread.data_off)
+            pretrain_predictor(thread.predictor, thread.trace.ops)
 
     def reset_measurement(self) -> None:
         for thread in self.threads:

@@ -307,9 +307,7 @@ def check_degenerate_memory(policies=("mlp", "static", "occupancy",
         line = proc.config.l1i.line_bytes
         for addr in range(_CODE_BASE, _CODE_BASE + 4 * 512 + line, line):
             proc.hierarchy.l1i.install(addr, ready_at=0)
-            proc.hierarchy.l2.install_span(addr - addr % 64, 64,
-                                           ready_at=0, brought_by=-1,
-                                           touched=True)
+            proc.hierarchy.l2.install_span(addr - addr % 64, 64, touched=True)
         proc.run(until_committed=n_ops)
         misses = len(proc.stats.l2_miss_cycles)
         premise = misses == 0

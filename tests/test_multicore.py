@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import base_config, dynamic_config, fixed_config
 from repro.multicore import MultiCoreSystem, simulate_multicore
+from repro.verify.digest import result_digest
 from repro.workloads import generate_trace, profile
 
 from tests.conftest import CODE_BASE, ialu, make_trace, warm_icache
@@ -79,6 +80,17 @@ class TestExecution:
         assert results[0].program == "leslie3d"
         assert results[1].program == "gcc"
         assert all(r.ipc > 0 for r in results)
+
+    def test_shared_l2_digests_pinned(self, mixed_system):
+        """Both cores' results are pinned bit for bit.  The golden
+        digests cover single-core runs only; this run also covers a
+        shared L2 prewarmed with two cores' spans."""
+        assert [result_digest(r) for r in mixed_system.results()] == [
+            "7b8450d810e69c6841ebcbf3877aa434"
+            "fab1898fb168e3ec81cfedb30e862765",
+            "7419c84b022a798fc5d5b02df8459bde"
+            "82d176af844b8b10eb960d43b39c824e",
+        ]
 
 
 class TestLockstep:

@@ -10,7 +10,8 @@ from repro.config import (
     dynamic_config,
 )
 from repro.pipeline import Processor
-from repro.pipeline.core import DECODE_LATENCY, FETCH_BUFFER
+from repro.pipeline.core import (
+    DECODE_LATENCY, FETCH_BUFFER, pretrain_predictor)
 
 from tests.conftest import (
     CODE_BASE,
@@ -49,7 +50,7 @@ class TestFrontEnd:
         # train the BTB first via a warmup pass over the same PCs
         proc = Processor(base_config(), make_trace(ops + ops))
         warm_icache(proc)
-        proc._pretrain_predictor()
+        pretrain_predictor(proc.predictor, proc.trace.ops)
         proc.run(until_committed=len(ops) * 2)
         assert proc.stats.cycles >= 60   # >= ~1 cycle per taken branch
 

@@ -13,7 +13,7 @@ from repro.core.partition import make_partition_policy
 from repro.pipeline.core import simulate
 from repro.pipeline.resources import WindowSet
 from repro.pipeline.smt import SMTProcessor, simulate_smt
-from repro.verify.digest import diff_payloads, digest_payload
+from repro.verify.digest import diff_payloads, digest_payload, result_digest
 from repro.workloads import generate_trace, profile
 
 
@@ -148,6 +148,16 @@ class TestExecution:
             return [digest_payload(r) for r in run.threads]
         first, second = digests(), digests()
         assert first == second
+
+    def test_two_thread_digest_pinned(self):
+        """The aggregate of a two-thread run is pinned bit for bit.  The
+        golden digests cover single-core runs only; this run also covers
+        per-thread prewarm spans at each thread's address offset."""
+        traces = traces_for(("milc", "sjeng"), n_ops=7000, seed=3)
+        run = simulate_smt(smt_config(2), traces, warmup=1500, measure=4000)
+        assert result_digest(run.aggregate) == (
+            "0d8eeb59a9b29071e80ecfb9019ad6c0"
+            "565fad7b41796822d14219b3dbb474c4")
 
     def test_roundrobin_fetch_runs(self):
         traces = traces_for(("gcc", "sjeng"), n_ops=20_000)
