@@ -38,7 +38,8 @@ and are appended to every sanitizer failure and deadlock report.
 The mutation harness (``python -m repro.debug.mutations``) seeds known
 faults — a dropped release, a stale policy timer, an off-by-one resize,
 an MSHR overflow, a reordered ROB — and asserts that each one trips an
-invariant.
+invariant; its clean control run must evaluate every name in
+:data:`~repro.debug.sanitizer.INVARIANTS`.
 """
 
 from repro.debug.errors import DeadlockError, SanitizerError

@@ -22,6 +22,17 @@ from repro.debug.errors import SanitizerError
 from repro.debug.events import EventTrace
 from repro.debug.slots import CamSlotTracker, FifoSlotTracker
 
+#: Every invariant the sanitizer evaluates, under the name it is
+#: counted by in :attr:`Sanitizer.checks`.  A clean run must evaluate
+#: each one at least once: the mutation harness's control run fails
+#: otherwise, because an invariant never evaluated guards nothing.
+INVARIANTS: tuple[str, ...] = (
+    "occupancy_bounds", "counter_conservation", "level_capacity",
+    "ground_truth_occupancy", "mshr_bound", "timer_liveness",
+    "rob_program_order", "in_order_commit", "event_schedule",
+    "shrink_slot_vacancy",
+)
+
 
 class Sanitizer:
     """Per-cycle invariant checking + event tracing for one processor."""

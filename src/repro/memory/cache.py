@@ -105,6 +105,23 @@ class Cache:
             cset.move_to_end(laddr)
         return line
 
+    def peek(self, addr: int) -> CacheLine | None:
+        """Find the resident line containing ``addr`` in a set already
+        built; None on a miss or when the set is not built yet.
+
+        Neither refreshes LRU nor builds the set, so it can skip what an
+        unbuilt set holds: only prewarm lines (see :meth:`built_lines`).
+        """
+        if self._line_mask is not None:
+            laddr = addr & self._line_mask
+            index = (laddr >> self._line_shift) & self._set_mask
+        else:
+            line_bytes = self.line_bytes
+            laddr = addr - (addr % line_bytes)
+            index = (laddr // line_bytes) & self._set_mask
+        cset = self._sets[index]
+        return None if cset is None else cset.get(laddr)
+
     def install(self, addr: int, ready_at: int, brought_by: int = 0) -> CacheLine:
         """Install the line containing ``addr``, evicting LRU if needed.
 

@@ -243,9 +243,17 @@ class MemoryHierarchy:
     # L2 / memory internals
 
     def _touch_l2(self, addr: int, path: AccessPath) -> None:
+        """Mark the L2 copy of a correct-path L1D hit touched (Fig 11).
+
+        An L2 set not built yet is left alone, unbuilt.  It holds only
+        clean prewarm lines: :meth:`LineUsageStats.record` skips their
+        ``brought_by`` of -1, so their ``touched`` flag is never read,
+        and a later build replays the same spans into the same LRU
+        order this lookup (which leaves LRU as it is) would have seen.
+        """
         if path is not AccessPath.CORRECT:
             return
-        line = self.l2.lookup(addr, update_lru=False)
+        line = self.l2.peek(addr)
         if line is not None:
             line.touched = True
 

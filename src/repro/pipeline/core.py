@@ -77,6 +77,10 @@ _FU_POOLS = ("int_alu", "int_mul_div", "mem_ports", "fp_alu", "fp_mul_div")
 _FU_INDEX = tuple(_FU_POOLS.index(_FU_POOL[OpClass(i)])
                   for i in range(len(OpClass)))
 
+#: access paths, read once (an enum member lookup is a descriptor call)
+_CORRECT = AccessPath.CORRECT
+_WRONG = AccessPath.WRONG
+
 # event kinds
 _EV_COMPLETE = 0
 _EV_WAKE = 1
@@ -302,38 +306,43 @@ class Processor:
     def _process_events(self) -> int:
         processed = 0
         events = self._events
-        while events and events[0][0] <= self.cycle:
+        now = self.cycle
+        complete_op = self._complete_op
+        while events and events[0][0] <= now:
             __, ___, kind, payload = _heappop(events)
             processed += 1
             if kind == _EV_COMPLETE:
-                self._complete_op(payload)
+                complete_op(payload)
             elif kind == _EV_WAKE:
                 self._wake_consumers(payload)
             elif kind == _EV_RA_EXIT:
-                self.runahead.exit_runahead(self.cycle)
+                self.runahead.exit_runahead(now)
         return processed
 
     def _complete_op(self, op: InFlightOp) -> None:
         if op.squashed or op.complete:
             return
+        now = self.cycle
         op.complete = True
-        op.complete_cycle = self.cycle
-        if op.uop.is_branch and op.branch_token is not None:
+        op.complete_cycle = now
+        uop = op.uop
+        if uop.is_branch and op.branch_token is not None:
             self._resolve_branch(op)
+        if uop.is_store:
+            self._store_executed(op)
         # A pipelined wakeup/select loop of depth d forbids back-to-back
         # dependent issue: the consumer cannot issue before
         # producer_issue + d.  For producers whose execution latency is
         # at least d the broadcast has already caught up, so only
         # short-latency producers (the ILP-critical IALU chains) pay.
-        if op.uop.is_store:
-            self._store_executed(op)
-        latency = max(1, self.cycle - op.issue_cycle)
-        delay = max(0, self.extra_wakeup_delay + 1 - latency)
-        op.woken_at = self.cycle + delay
+        latency = now - op.issue_cycle
+        delay = self.extra_wakeup_delay + 1 - (latency if latency > 1 else 1)
         self.stats.activity.iq_wakeups += 1
-        if delay == 0:
+        if delay <= 0:
+            op.woken_at = now
             self._wake_consumers(op)
         else:
+            op.woken_at = now + delay
             self._schedule(op.woken_at, _EV_WAKE, op)
 
     def _wake_consumers(self, op: InFlightOp) -> None:
@@ -375,20 +384,17 @@ class Processor:
     def _squash_after(self, after_seq: int) -> None:
         """Remove every op younger than ``after_seq`` from the machine."""
         rob = self.rob
-        window = self.window
+        release = self.window.release
+        squashed = len(self._decode_q)
         while rob and rob[-1].seq > after_seq:
             op = rob.pop()
             op.squashed = True
-            window.rob.release()
-            if op.in_iq and not op.issued:
-                window.iq.release()
-            if op.uop.is_mem:
-                window.lsq.release()
-            self.stats.squashed_uops += 1
+            release(op.in_iq and not op.issued, op.uop.is_mem)
+            squashed += 1
         for __, op in self._decode_q:
             op.squashed = True
-            self.stats.squashed_uops += 1
         self._decode_q.clear()
+        self.stats.squashed_uops += squashed
         # Rebuild the map table and the pending-store table from the
         # surviving ROB contents.
         self._map.clear()
@@ -408,91 +414,94 @@ class Processor:
         rob = self.rob
         width = self._width
         window = self.window
-        rob_release = window.rob.release
-        lsq_release = window.lsq.release
+        release = window.release
         engine = self.runahead
         in_runahead = engine is not None and engine.active
+        now = self.cycle
+        stats = self.stats
+        tracer = self.tracer
+        # the commit totals are added once per call; committed_uops is
+        # also brought up to date before each committed mispredict,
+        # whose Table 5 distance reads it
+        base = stats.committed_uops
+        retired = loads = stores = branches = 0
         while rob and committed < width:
             op = rob[0]
+            uop = op.uop
             if in_runahead:
                 if not engine.can_pseudo_retire(op):
                     break
                 rob.popleft()
-                engine.pseudo_retire(op, self.cycle)
-                rob_release()
-                if op.uop.is_mem:
-                    lsq_release()
+                engine.pseudo_retire(op, now)
+                release(0, uop.is_mem)
                 committed += 1
                 continue
             if not op.complete:
-                if (engine is not None and op.uop.is_load and op.l2_miss
+                if (engine is not None and uop.is_load and op.l2_miss
                         and op.issued):
-                    if engine.consider_entry(op, self.cycle):
+                    if engine.consider_entry(op, now):
                         in_runahead = True
                         continue
                 break
             rob.popleft()
-            rob_release()
-            if op.uop.is_mem:
-                lsq_release()
-            self._commit_op(op)
+            release(0, uop.is_mem)
             committed += 1
+            retired += 1
+            if tracer is not None:
+                tracer.on_commit(op, now)
+            if uop.is_load:
+                loads += 1
+            elif uop.is_store:
+                stores += 1
+                word = uop.addr & ~7
+                if self._pending_stores.get(word) is op:
+                    del self._pending_stores[word]
+                self.hierarchy.store(uop.addr, now, _CORRECT)
+            elif uop.is_branch:
+                branches += 1
+                if op.mispredicted:
+                    stats.committed_mispredicts += 1
+                    stats.committed_uops = base + retired
+                    stats.note_mispredict_commit()
+        if retired:
+            self.committed_total += retired
+            stats.committed_uops = base + retired
+            stats.committed_loads += loads
+            stats.committed_stores += stores
+            stats.committed_branches += branches
+            stats.activity.rob_reads += retired
         if committed:
             # keep the WindowSet's commit counter current: feedback
             # policies (ContributionPolicy) read their commit-throughput
             # signal from it at tick time
             window.committed += committed
-        if committed < width:
-            reason = self._classify_commit_block()
-            self.stats.note_stall_slots(reason, width - committed)
-            self._last_stall_reason = reason
-        else:
+        if committed == width:
             self._last_stall_reason = None
+            return committed
+        # charge the unused slots to why the ROB head could not commit
+        # (the CPI stack)
+        if not rob:
+            reason = "frontend"
+        else:
+            head = rob[0]
+            if head.issued:
+                if not head.uop.is_load:
+                    reason = "exec"
+                elif head.l2_miss:
+                    reason = "mem_dram"
+                elif head.forwarded:
+                    reason = "mem_forward"
+                else:
+                    reason = "mem_cache"
+            elif head.pending_srcs > 0 or head.ready_cycle >= now:
+                # a head woken up this very cycle waited on the
+                # dependence chain too (commit runs before issue)
+                reason = "deps"
+            else:
+                reason = "issue"
+        stats.note_stall_slots(reason, width - committed)
+        self._last_stall_reason = reason
         return committed
-
-    def _classify_commit_block(self) -> str:
-        """Why the ROB head could not commit this cycle (CPI stack)."""
-        if not self.rob:
-            return "frontend"
-        head = self.rob[0]
-        uop = head.uop
-        if head.issued:
-            if uop.is_load:
-                if head.l2_miss:
-                    return "mem_dram"
-                if head.forwarded:
-                    return "mem_forward"
-                return "mem_cache"
-            return "exec"
-        if head.pending_srcs > 0:
-            return "deps"
-        if head.ready_cycle >= self.cycle:
-            # woke up this very cycle: the wait was the dependence chain
-            # (commit runs before issue within a cycle)
-            return "deps"
-        return "issue"
-
-    def _commit_op(self, op: InFlightOp) -> None:
-        uop = op.uop
-        self.committed_total += 1
-        if self.tracer is not None:
-            self.tracer.on_commit(op, self.cycle)
-        stats = self.stats
-        stats.committed_uops += 1
-        if uop.is_load:
-            stats.committed_loads += 1
-        elif uop.is_store:
-            stats.committed_stores += 1
-            word = uop.addr & ~7
-            if self._pending_stores.get(word) is op:
-                del self._pending_stores[word]
-            self.hierarchy.store(uop.addr, self.cycle, AccessPath.CORRECT)
-        elif uop.is_branch:
-            stats.committed_branches += 1
-            if op.mispredicted:
-                stats.committed_mispredicts += 1
-                stats.note_mispredict_commit()
-        stats.activity.rob_reads += 1
 
     # ------------------------------------------------------------------
     # issue
@@ -506,6 +515,7 @@ class Processor:
         fu_used = self._fu_used_vec
         fu_used[0] = fu_used[1] = fu_used[2] = fu_used[3] = fu_used[4] = 0
         fu_limits = self._fu_limit_vec
+        issue_op = self._issue_op
         deferred: list[tuple[int, InFlightOp]] = []
         defer = deferred.append
         scans = 0
@@ -524,7 +534,7 @@ class Processor:
                 defer(item)
                 continue
             fu_used[pool] += 1
-            self._issue_op(op)
+            issue_op(op)
             issued += 1
         for item in deferred:
             _heappush(ready, item)
@@ -539,97 +549,82 @@ class Processor:
             op.in_iq = False
         stats = self.stats
         stats.issued_uops += 1
-        stats.activity.iq_issues += 1
-        stats.activity.fu_ops += 1
+        activity = stats.activity
+        activity.iq_issues += 1
+        activity.fu_ops += 1
         if op.inherit_inv:
             op.inv = True
         uop = op.uop
         if uop.is_load:
-            self._issue_load(op)
-        elif uop.is_store:
-            self._issue_store(op)
-        else:
-            latency = EXEC_LATENCY[uop.op]
-            self._schedule(now + latency, _EV_COMPLETE, op)
-
-    # ----- loads / stores --------------------------------------------
-
-    def _issue_load(self, op: InFlightOp) -> None:
-        addr_ready = self.cycle + EXEC_LATENCY[OpClass.LOAD]
-        op.addr_known_cycle = addr_ready
-        self.stats.activity.lsq_searches += 1
-        if op.inv:
-            # Runahead INV address: produce INV without touching memory.
-            self._schedule(addr_ready + 1, _EV_COMPLETE, op)
-            return
-        word = op.uop.addr & ~7
-        store = self._pending_stores.get(word)
-        if store is not None and not store.squashed and store.seq < op.seq:
-            op.forwarded = True
-            if self.runahead is not None and store.inv:
-                op.inv = True
-            if store.complete:
-                self._schedule(max(addr_ready, store.complete_cycle) + 1,
-                               _EV_COMPLETE, op)
-            else:
-                # Forward once the producing store has executed.
-                if store.fwd_waiters is None:
+            start = now + EXEC_LATENCY[uop.op]     # address generation
+            op.addr_known_cycle = start
+            activity.lsq_searches += 1
+            if op.inv:
+                # Runahead INV address: produce INV without touching memory.
+                self._schedule(start + 1, _EV_COMPLETE, op)
+                return
+            engine = self.runahead
+            word = uop.addr & ~7
+            store = self._pending_stores.get(word)
+            if store is not None and not store.squashed and store.seq < op.seq:
+                op.forwarded = True
+                if engine is not None and store.inv:
+                    op.inv = True
+                if store.complete:
+                    self._schedule(max(start, store.complete_cycle) + 1,
+                                   _EV_COMPLETE, op)
+                elif store.fwd_waiters is None:
+                    # forward once the producing store has executed
                     store.fwd_waiters = [op]
                 else:
                     store.fwd_waiters.append(op)
-            return
-        if (self.runahead is not None and self.runahead.active
-                and self.runahead.cache_hit(word)):
-            op.forwarded = True
-            self._schedule(addr_ready + 1, _EV_COMPLETE, op)
-            return
-        self._start_memory_access(op, addr_ready)
-
-    def _start_memory_access(self, op: InFlightOp, start: int) -> None:
-        uop = op.uop
-        path = AccessPath.WRONG if op.wrong_path else AccessPath.CORRECT
-        engine = self.runahead
-        if engine is not None and engine.active and not engine.may_issue_fill(
-                self.hierarchy, start):
-            # Miss buffers saturated / episode fill budget exhausted:
-            # drop the runahead fill and INV the load.
-            op.inv = True
-            self._schedule(start + 2, _EV_COMPLETE, op)
-            return
-        self.stats.activity.l1d_accesses += 1
-        result = self.hierarchy.load(uop.addr, start, uop.pc, path)
-        # Record the scheduled fill time eagerly: the runahead engine needs
-        # it to time its exit while the load is still incomplete.
-        op.complete_cycle = result.complete_cycle
-        if result.l2_miss:
-            op.l2_miss = True
-            if not op.wrong_path:
-                self.stats.demand_miss_intervals.append(
-                    (start, result.complete_cycle))
-        engine = self.runahead
-        if engine is not None and engine.active:
-            # Runahead: a long-latency load (a fresh L2 miss, or a merge
-            # into a line another miss is still fetching) gets an INV
-            # result immediately while its fill proceeds underneath (the
-            # prefetching effect).  Blocking on it would stall
-            # pseudo-retirement for the rest of the episode.
-            long_latency = (result.complete_cycle - start
-                            > self.config.l2.hit_latency + 8)
-            if result.l2_miss or long_latency:
+                return
+            episode = engine if engine is not None and engine.active else None
+            if episode is not None:
+                if episode.cache_hit(word):
+                    op.forwarded = True
+                    self._schedule(start + 1, _EV_COMPLETE, op)
+                    return
+                if not episode.may_issue_fill(self.hierarchy, start):
+                    # Miss buffers saturated / episode fill budget
+                    # exhausted: drop the runahead fill and INV the load.
+                    op.inv = True
+                    self._schedule(start + 2, _EV_COMPLETE, op)
+                    return
+            activity.l1d_accesses += 1
+            result = self.hierarchy.load(uop.addr, start, uop.pc,
+                                         _WRONG if op.wrong_path else _CORRECT)
+            done = result.complete_cycle
+            # Record the scheduled fill time eagerly: the runahead engine
+            # needs it to time its exit while the load is still incomplete.
+            op.complete_cycle = done
+            if result.l2_miss:
+                op.l2_miss = True
+                if not op.wrong_path:
+                    stats.demand_miss_intervals.append((start, done))
+            if episode is not None and (
+                    result.l2_miss
+                    or done - start > self.config.l2.hit_latency + 8):
+                # Runahead: a long-latency load (a fresh L2 miss, or a
+                # merge into a line another miss is still fetching) gets
+                # an INV result immediately while its fill proceeds
+                # underneath (the prefetching effect).  Blocking on it
+                # would stall pseudo-retirement for the rest of the
+                # episode.
                 op.inv = True
                 if result.l2_miss:
-                    engine.note_episode_miss()
-                self._schedule(start + 2, _EV_COMPLETE, op)
-                return
-        self._schedule(result.complete_cycle, _EV_COMPLETE, op)
-
-    def _issue_store(self, op: InFlightOp) -> None:
-        addr_ready = self.cycle + EXEC_LATENCY[OpClass.STORE]
-        op.addr_known_cycle = addr_ready
-        engine = self.runahead
-        if engine is not None and engine.active and not op.inv:
-            engine.cache_write(op.uop.addr & ~7)
-        self._schedule(addr_ready, _EV_COMPLETE, op)
+                    episode.note_episode_miss()
+                done = start + 2
+            self._schedule(done, _EV_COMPLETE, op)
+        elif uop.is_store:
+            start = now + EXEC_LATENCY[uop.op]
+            op.addr_known_cycle = start
+            engine = self.runahead
+            if engine is not None and engine.active and not op.inv:
+                engine.cache_write(uop.addr & ~7)
+            self._schedule(start, _EV_COMPLETE, op)
+        else:
+            self._schedule(now + EXEC_LATENCY[uop.op], _EV_COMPLETE, op)
 
     def _store_executed(self, op: InFlightOp) -> None:
         """A store finished executing: satisfy loads waiting to forward."""
@@ -647,76 +642,72 @@ class Processor:
     # dispatch
 
     def _dispatch_stage(self) -> int:
-        if self.cycle < self._alloc_stall_until or self._stop_alloc:
-            if self._decode_q:
+        now = self.cycle
+        queue = self._decode_q
+        if now < self._alloc_stall_until or self._stop_alloc:
+            if queue:
                 self.stats.dispatch_stall_cycles += 1
             return 0
-        dispatched = 0
+        dispatched = wrong_path = 0
+        next_cycle = now + 1
         width = self._width
-        queue = self._decode_q
         window = self.window
-        now = self.cycle
+        try_allocate = window.try_allocate
+        rename = self._map
+        map_get = rename.get
+        ready = self._ready
+        rob = self.rob
         while queue and dispatched < width:
             ready_at, op = queue[0]
             if ready_at > now:
                 break
-            is_mem = op.uop.is_mem
-            need_lsq = 1 if is_mem else 0
-            if not window.has_room(1, 1, need_lsq):
-                # record exactly once per stalled cycle (the query above
-                # is side-effect free), keeping full_events == number of
-                # cycles the resource blocked allocation
-                window.note_alloc_stall(1, 1, need_lsq)
+            uop = op.uop
+            is_mem = uop.is_mem
+            if not try_allocate(is_mem):
+                # record exactly once per stalled cycle (a refused
+                # allocation changes nothing), keeping full_events ==
+                # number of cycles the resource blocked allocation
+                window.note_alloc_stall(1, 1, is_mem)
                 self.stats.dispatch_stall_cycles += 1
                 break
             queue.popleft()
-            self._dispatch_op(op)
             dispatched += 1
+            op.dispatch_cycle = now
+            op.in_iq = True
+            if op.wrong_path:
+                wrong_path += 1
+            pending = 0
+            for src in uop.srcs:
+                producer = map_get(src)
+                if producer is None or producer.squashed:
+                    continue
+                if 0 <= producer.woken_at <= now:
+                    if producer.inv:
+                        op.inherit_inv = True
+                    continue
+                if producer.consumers is None:
+                    producer.consumers = [op]
+                else:
+                    producer.consumers.append(op)
+                pending += 1
+            op.pending_srcs = pending
+            op.ready_cycle = next_cycle
+            if pending == 0:
+                _heappush(ready, (op.seq, op))
+            if uop.dst != REG_INVALID:
+                rename[uop.dst] = op
+            rob.append(op)
+            if uop.is_store:
+                self._pending_stores[uop.addr & ~7] = op
+        if dispatched:
+            stats = self.stats
+            stats.dispatched_uops += dispatched
+            stats.wrong_path_uops += wrong_path
+            activity = stats.activity
+            activity.renames += dispatched
+            activity.iq_writes += dispatched
+            activity.rob_writes += dispatched
         return dispatched
-
-    def _dispatch_op(self, op: InFlightOp) -> None:
-        window = self.window
-        uop = op.uop
-        op.dispatch_cycle = self.cycle
-        window.rob.allocate()
-        window.iq.allocate()
-        op.in_iq = True
-        if uop.is_mem:
-            window.lsq.allocate()
-        stats = self.stats
-        stats.dispatched_uops += 1
-        if op.wrong_path:
-            stats.wrong_path_uops += 1
-        activity = stats.activity
-        activity.renames += 1
-        activity.iq_writes += 1
-        activity.rob_writes += 1
-
-        now = self.cycle
-        pending = 0
-        map_get = self._map.get
-        for src in uop.srcs:
-            producer = map_get(src)
-            if producer is None or producer.squashed:
-                continue
-            if producer.woken_at >= 0 and producer.woken_at <= now:
-                if producer.inv:
-                    op.inherit_inv = True
-                continue
-            if producer.consumers is None:
-                producer.consumers = [op]
-            else:
-                producer.consumers.append(op)
-            pending += 1
-        op.pending_srcs = pending
-        op.ready_cycle = now + 1
-        if pending == 0:
-            _heappush(self._ready, (op.seq, op))
-        if uop.dst != REG_INVALID:
-            self._map[uop.dst] = op
-        self.rob.append(op)
-        if uop.is_store:
-            self._pending_stores[uop.addr & ~7] = op
 
     # ------------------------------------------------------------------
     # fetch
@@ -726,72 +717,82 @@ class Processor:
         if now < self._fetch_stall_until:
             self.stats.fetch_stall_cycles += 1
             return 0
-        fetched = 0
-        width = self._width
         queue = self._decode_q
-        activity = self.stats.activity
-        trace_ops = self.trace.ops
+        # the decode queue grows by one per fetched op; a full queue
+        # (the window backed up) is the common idle cycle, so the stage
+        # returns before reading anything else
+        limit = min(self._width, FETCH_BUFFER - len(queue))
+        if limit <= 0:
+            return 0
+        fetched = l1i_accesses = branches = 0
+        trace = self.trace
+        trace_ops = trace.ops
         n_trace_ops = len(trace_ops)
         l1i_line = self._l1i_line_bytes
-        l1i_hit = self._l1i_hit_latency
-        while fetched < width and len(queue) < FETCH_BUFFER:
-            if self._wrong_mode:
-                uop = self.trace.wrong_path.op_at(self._wrong_base_pc,
-                                                  self._wrong_k)
-                trace_idx = -1
+        hit_done = now + self._l1i_hit_latency
+        decoded_at = now + DECODE_LATENCY
+        trace_idx = self._trace_idx
+        wrong_mode = self._wrong_mode
+        last_line = self._last_fetch_line
+        seq = self._seq
+        while fetched < limit:
+            if wrong_mode:
+                uop = trace.wrong_path.op_at(self._wrong_base_pc,
+                                             self._wrong_k)
+                idx = -1
+            elif trace_idx < n_trace_ops:
+                uop = trace_ops[trace_idx]
+                idx = trace_idx
             else:
-                if self._trace_idx >= n_trace_ops:
-                    break
-                uop = trace_ops[self._trace_idx]
-                trace_idx = self._trace_idx
+                break
+            pc = uop.pc
             # I-cache access on a new line
-            line = uop.pc - (uop.pc % l1i_line)
-            if line != self._last_fetch_line:
-                activity.l1i_accesses += 1
-                done = self.hierarchy.ifetch(uop.pc, now)
-                self._last_fetch_line = line
-                if done > now + l1i_hit:
+            line = pc - (pc % l1i_line)
+            if line != last_line:
+                l1i_accesses += 1
+                done = self.hierarchy.ifetch(pc, now)
+                last_line = line
+                if done > hit_done:
                     self._fetch_stall_until = done
                     break
-            self._seq += 1
-            op = InFlightOp(self._seq, uop, trace_idx, self._wrong_mode)
+            seq += 1
+            op = InFlightOp(seq, uop, idx, wrong_mode)
             op.fetch_cycle = now
-            activity.fetches += 1
-            activity.decodes += 1
-            end_cycle = False
-            if self._wrong_mode:
-                self._wrong_k += 1
-                end_cycle = uop.is_branch     # taken wrong-path branch
-            elif uop.is_branch:
-                end_cycle = self._fetch_branch(op)
-            else:
-                self._trace_idx += 1
-            queue.append((now + DECODE_LATENCY, op))
+            queue.append((decoded_at, op))
             fetched += 1
-            if end_cycle:
+            if wrong_mode:
+                self._wrong_k += 1
+                if uop.is_branch:       # taken wrong-path branch
+                    break
+                continue
+            trace_idx += 1
+            if not uop.is_branch:
+                continue
+            # predict a correct-path branch; a predicted-taken redirect
+            # ends the fetch cycle (the taken-branch bubble)
+            branches += 1
+            pred_taken, pred_target, op.branch_token = self.predictor.predict(
+                pc, pc + 4)
+            taken = uop.taken
+            if pred_taken != taken or (taken and pred_target != uop.target):
+                op.mispredicted = True
+                wrong_mode = True
+                self._wrong_branch = op
+                self._wrong_base_pc = pred_target if pred_taken else pc + 4
+                self._wrong_k = 0
+            if pred_taken:
                 break
+        self._trace_idx = trace_idx
+        self._wrong_mode = wrong_mode
+        self._last_fetch_line = last_line
+        self._seq = seq
+        if fetched or l1i_accesses:
+            activity = self.stats.activity
+            activity.l1i_accesses += l1i_accesses
+            activity.fetches += fetched
+            activity.decodes += fetched
+            activity.bpred_lookups += branches
         return fetched
-
-    def _fetch_branch(self, op: InFlightOp) -> bool:
-        """Predict a correct-path branch; returns True if fetch must stop
-        this cycle (predicted-taken redirect bubble)."""
-        uop = op.uop
-        activity = self.stats.activity
-        activity.bpred_lookups += 1
-        pred_taken, pred_target, token = self.predictor.predict(
-            uop.pc, uop.pc + 4)
-        op.branch_token = token
-        self._trace_idx += 1
-        actual_taken = uop.taken
-        mispredicted = (pred_taken != actual_taken
-                        or (actual_taken and pred_target != uop.target))
-        op.mispredicted = mispredicted
-        if mispredicted:
-            self._wrong_mode = True
-            self._wrong_branch = op
-            self._wrong_base_pc = pred_target if pred_taken else uop.pc + 4
-            self._wrong_k = 0
-        return pred_taken
 
     # ------------------------------------------------------------------
     # resizing
@@ -1080,7 +1081,7 @@ def pretrain_predictor(predictor: BranchPredictor, ops) -> None:
     the branch outcomes the sample will execute.
     """
     for uop in ops:
-        if uop.op is OpClass.BRANCH:
+        if uop.is_branch:
             __, ___, token = predictor.predict(uop.pc, uop.pc + 4)
             predictor.resolve(token, uop.taken, uop.target)
     predictor.predictions = 0

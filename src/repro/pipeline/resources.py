@@ -55,19 +55,21 @@ class WindowResource:
         self.full_events += 1
 
     def allocate(self, n: int = 1) -> None:
-        if self.occupancy + n > self.capacity:
+        occupancy = self.occupancy + n
+        if occupancy > self.capacity:
             raise RuntimeError(
                 f"{self.name}: allocation overflow "
                 f"({self.occupancy}+{n} > {self.capacity})")
-        self.occupancy += n
+        self.occupancy = occupancy
         self.alloc_count += n
-        if self.occupancy > self.peak_occupancy:
-            self.peak_occupancy = self.occupancy
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
 
     def release(self, n: int = 1) -> None:
-        if self.occupancy - n < 0:
+        occupancy = self.occupancy - n
+        if occupancy < 0:
             raise RuntimeError(f"{self.name}: release underflow")
-        self.occupancy -= n
+        self.occupancy = occupancy
         self.release_count += n
 
     def can_shrink_to(self, new_capacity: int) -> bool:
@@ -141,6 +143,29 @@ class WindowSet:
         return (rob.capacity - rob.occupancy >= need_rob
                 and iq.capacity - iq.occupancy >= need_iq
                 and lsq.capacity - lsq.occupancy >= need_lsq)
+
+    def try_allocate(self, lsq: int) -> bool:
+        """Claim one op's entries — one ROB and one IQ entry plus ``lsq``
+        (0 or 1) LSQ entries — if all three resources have room; else
+        return False and change nothing (the caller records the stall
+        with :meth:`note_alloc_stall`).  Dispatch's one call per op."""
+        if not self.has_room(1, 1, lsq):
+            return False
+        self.rob.allocate()
+        self.iq.allocate()
+        if lsq:
+            self.lsq.allocate()
+        return True
+
+    def release(self, iq: int, lsq: int) -> None:
+        """Free one op's ROB entry plus ``iq`` and ``lsq`` (0 or 1 each)
+        IQ and LSQ entries: the one call per op of commit (``iq=0``, the
+        IQ entry went at issue) and squash."""
+        self.rob.release()
+        if iq:
+            self.iq.release()
+        if lsq:
+            self.lsq.release()
 
     def note_alloc_stall(self, need_rob: int, need_iq: int,
                          need_lsq: int) -> None:

@@ -65,7 +65,7 @@ class PipelineTracer:
         self.total_committed = 0
         processor.tracer = self
 
-    # called by Processor._commit_op
+    # called by Processor._commit_stage for each retired op
     def on_commit(self, op, cycle: int) -> None:
         self.total_committed += 1
         uop = op.uop

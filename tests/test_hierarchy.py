@@ -143,3 +143,42 @@ class TestLineUsage:
         mem.load(0x50000 + 4 * 64, cycle=5_000, pc=0x404)
         after = mem.line_usage().as_dict()["prefetch_useful"]
         assert after >= before
+
+
+class TestTouchOnUnbuiltL2Set:
+    """A correct-path L1D hit leaves an unbuilt L2 set unbuilt: such a
+    set holds only prewarm lines, which the Figure 11 accounting skips."""
+
+    LINE = 0x100040     # inside both prewarmed regions below
+
+    @staticmethod
+    def _prewarmed():
+        mem = MemoryHierarchy(base_config())
+        mem.l2.install_span(0x100000, 0x10000)
+        mem.l1d.install_span(0x100000, 0x1000)
+        return mem
+
+    @staticmethod
+    def _l2_picture(mem):
+        # the lines of every built set, set by set in LRU order;
+        # ``touched`` is left out: on a prewarm line nothing reads it
+        return [(line.line_addr, line.ready_at, line.brought_by, line.dirty)
+                for line in mem.l2.built_lines()]
+
+    def test_l1d_hit_builds_no_l2_set(self):
+        mem = self._prewarmed()
+        ref = self._prewarmed()
+        ref.l2.lookup(self.LINE, update_lru=False)   # built first
+        for hierarchy in (mem, ref):
+            assert hierarchy.load(self.LINE, cycle=100, pc=0x400).l1_hit
+        assert list(mem.l2.built_lines()) == []
+        # demand traffic elsewhere, so the accounting is not all zeros
+        for hierarchy in (mem, ref):
+            hierarchy.load(0x900000, cycle=200, pc=0x404)
+            hierarchy.load(0x940000, cycle=200, pc=0x408,
+                           path=AccessPath.WRONG)
+        assert mem.line_usage().as_dict() == ref.line_usage().as_dict()
+        assert mem.line_usage().total() == 2
+        # a later build replays the same spans into the same LRU order
+        mem.l2.lookup(self.LINE, update_lru=False)
+        assert self._l2_picture(mem) == self._l2_picture(ref)

@@ -139,6 +139,28 @@ class TestWindowSet:
         assert w.iq.full_events == 2
         assert w.lsq.full_events == 1
 
+    def test_try_allocate_refuses_without_side_effects(self):
+        w = WindowSet(LEVEL_TABLE, level=1)
+        assert w.try_allocate(1)
+        assert (w.rob.occupancy, w.iq.occupancy, w.lsq.occupancy) == (1, 1, 1)
+        w.lsq.allocate(63)                  # LSQ now full
+        assert w.try_allocate(0)            # a non-mem op needs no LSQ entry
+        assert not w.try_allocate(1)
+        assert (w.rob.occupancy, w.iq.occupancy, w.lsq.occupancy) == (2, 2, 64)
+        assert (w.rob.alloc_count, w.iq.alloc_count) == (2, 2)
+        assert w.lsq.full_events == 0       # the caller records the stall
+
+    def test_release_frees_rob_plus_named_entries(self):
+        w = WindowSet(LEVEL_TABLE, level=1)
+        w.try_allocate(1)
+        w.try_allocate(1)
+        w.release(0, 1)                     # commit: IQ entry went at issue
+        assert (w.rob.occupancy, w.iq.occupancy, w.lsq.occupancy) == (1, 2, 1)
+        w.release(1, 0)
+        assert (w.rob.occupancy, w.iq.occupancy, w.lsq.occupancy) == (0, 1, 1)
+        with pytest.raises(RuntimeError, match="ROB: release underflow"):
+            w.release(1, 1)
+
 
 class TestOccupancyInvariant:
     @given(st.lists(st.sampled_from(["alloc", "release", "grow", "shrink"]),

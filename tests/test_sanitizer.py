@@ -23,6 +23,7 @@ from repro.debug import (
 )
 from repro.debug import mutations
 from repro.debug.events import EVENT_KINDS
+from repro.debug.sanitizer import INVARIANTS
 from repro.pipeline import Processor, simulate
 
 
@@ -172,11 +173,10 @@ class TestCleanRun:
     def test_invariants_exercised(self, sanitized_dynamic):
         summary = sanitized_dynamic.debug.summary()
         checks = summary["invariant_checks"]
-        for name in ("occupancy_bounds", "counter_conservation",
-                     "level_capacity", "ground_truth_occupancy",
-                     "mshr_bound", "timer_liveness", "rob_program_order",
-                     "in_order_commit", "event_schedule",
-                     "shrink_slot_vacancy"):
+        # the tuple names every invariant the sanitizer counts...
+        assert set(checks) <= set(INVARIANTS)
+        # ...and a clean DYNAMIC run evaluates each of them
+        for name in INVARIANTS:
             assert checks.get(name, 0) > 0, f"{name} never exercised"
         assert summary["cycles_checked"] > 1_000
 

@@ -123,3 +123,83 @@ def test_dynamic_run_attributes_timer_waits(libquantum_trace):
 
 def test_policy_timer_is_a_cpi_component():
     assert "policy_timer" in COMPONENTS
+
+
+# ----------------------------------------------------------------------
+# the digest-excluded CPI-stack counters, pinned
+
+
+#: (fetch_stall_cycles, dispatch_stall_cycles, stall_slots) per smoke
+#: cell.  The result digest leaves these three out, so the golden files
+#: cannot catch a stage rewrite that moves them; this table can.
+PINNED_CPI_COUNTERS = {
+    "libquantum|fixed1": (0, 1685, {"exec": 26, "mem_cache": 947,
+                                    "mem_dram": 68572}),
+    "libquantum|dynamic": (0, 2596, {"deps": 6, "exec": 22, "mem_cache": 8,
+                                     "mem_dram": 22783,
+                                     "policy_timer": 816}),
+    "libquantum|ideal3": (0, 1918, {"exec": 17, "mem_cache": 4,
+                                    "mem_dram": 22091}),
+    "milc|fixed1": (0, 5667, {"deps": 2020, "exec": 4026,
+                              "mem_cache": 18829, "mem_dram": 20329}),
+    "milc|dynamic": (0, 6122, {"deps": 2629, "exec": 4311,
+                               "mem_cache": 19747, "mem_dram": 8257,
+                               "policy_timer": 184}),
+    "milc|ideal3": (0, 5555, {"deps": 2107, "exec": 4149,
+                              "mem_cache": 19861, "mem_dram": 4591}),
+    "gcc|fixed1": (144, 2187, {"deps": 2092, "exec": 510, "frontend": 7272,
+                               "mem_cache": 4255}),
+    "gcc|dynamic": (159, 2215, {"deps": 2137, "exec": 510, "frontend": 7291,
+                                "mem_cache": 4235, "policy_timer": 40}),
+    "gcc|ideal3": (445, 1764, {"deps": 2071, "exec": 510, "frontend": 5968,
+                               "mem_cache": 4244}),
+    "sjeng|fixed1": (183, 847, {"deps": 1831, "exec": 212, "frontend": 3705,
+                                "mem_cache": 2504}),
+    "sjeng|dynamic": (189, 868, {"deps": 1827, "exec": 212,
+                                 "frontend": 3709, "mem_cache": 2504,
+                                 "policy_timer": 52}),
+    "sjeng|ideal3": (346, 180, {"deps": 1831, "exec": 212, "frontend": 5633,
+                                "mem_cache": 2504}),
+    "riscv:mixed|bandit:ucb": (174, 7864, {"deps": 2876, "exec": 24,
+                                           "frontend": 33, "mem_cache": 37,
+                                           "mem_dram": 28698}),
+    "libquantum|runahead": (172, 4191, {"deps": 996, "exec": 234,
+                                        "frontend": 3254, "issue": 18,
+                                        "mem_cache": 18452,
+                                        "mem_dram": 54456}),
+}
+
+
+def _smoke_cell(cell):
+    """Run one pinned cell at the golden corpus's smoke scale: the
+    golden corpus models, ``riscv:mixed`` under the ``bandit:ucb``
+    controller, and libquantum on the runahead model."""
+    from repro.config import runahead_config
+    from repro.core.policies import make_policy
+    from repro.verify.golden import _config_for
+    from repro.verify.oracles import _smoke_run, smoke_trace
+
+    program, model = cell.split("|")
+    trace = smoke_trace(program)
+    if model == "bandit:ucb":
+        config = dynamic_config(3)
+        return _smoke_run(config, trace, policy=make_policy(
+            model, config.level, config.memory.min_latency))
+    if model == "runahead":
+        return _smoke_run(runahead_config(), trace)
+    return _smoke_run(_config_for(model), trace)
+
+
+def test_pinned_cells_cover_the_golden_corpus():
+    from repro.verify.golden import GOLDEN_MODELS
+    from repro.verify.oracles import SMOKE_CORPUS
+
+    golden = {f"{p}|{m}" for p in SMOKE_CORPUS for m in GOLDEN_MODELS}
+    assert golden <= set(PINNED_CPI_COUNTERS)
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_CPI_COUNTERS))
+def test_cpi_stack_counters_pinned(cell):
+    stats = _smoke_cell(cell).stats
+    assert (stats.fetch_stall_cycles, stats.dispatch_stall_cycles,
+            dict(stats.stall_slots)) == PINNED_CPI_COUNTERS[cell]
