@@ -49,6 +49,12 @@ if TYPE_CHECKING:
 DECODE_LATENCY = 3
 #: fetch/decode buffer capacity in micro-ops.
 FETCH_BUFFER = 24
+#: per-thread address spaces: thread ``t``'s data addresses are offset by
+#: ``t * DATA_OFFSET`` and its PCs by ``t * PC_OFFSET`` wherever it meets
+#: the shared hierarchy, so the threads of an SMT core see disjoint,
+#: non-aliasing streams (thread 0's offsets are zero)
+DATA_OFFSET = 0x100_0000_0000
+PC_OFFSET = 0x10_0000
 
 #: Version tag of the simulator's *timing behaviour*.  The on-disk result
 #: cache (:mod:`repro.experiments.cache`) keys on it, so bump it whenever
@@ -88,10 +94,10 @@ _EV_RA_EXIT = 2
 
 
 class InFlightOp:
-    """Pipeline state of one in-flight micro-op."""
+    """Pipeline state of one in-flight micro-op of one :class:`Thread`."""
 
     __slots__ = (
-        "seq", "uop", "trace_idx", "wrong_path",
+        "seq", "uop", "trace_idx", "wrong_path", "thread",
         "pending_srcs", "consumers", "ready_cycle",
         "issued", "complete", "squashed", "in_iq",
         "issue_cycle", "complete_cycle", "woken_at",
@@ -101,11 +107,12 @@ class InFlightOp:
     )
 
     def __init__(self, seq: int, uop: MicroOp, trace_idx: int,
-                 wrong_path: bool) -> None:
+                 wrong_path: bool, thread: "Thread") -> None:
         self.seq = seq
         self.uop = uop
         self.trace_idx = trace_idx
         self.wrong_path = wrong_path
+        self.thread = thread
         self.pending_srcs = 0
         self.consumers: list[InFlightOp] | None = None
         self.ready_cycle = 0
@@ -134,6 +141,68 @@ class InFlightOp:
         return f"<op#{self.seq} {self.uop.op.name} {flags}>"
 
 
+class Thread:
+    """One hardware thread: the state that follows one instruction
+    stream through the stages, which act on one thread at a time
+    (:class:`Processor` has one, the SMT core one per trace).
+
+    ``window`` and ``memory`` take the thread's
+    :class:`~repro.pipeline.resources.WindowSet` and
+    :class:`~repro.memory.MemoryHierarchy` calls: a single-thread core
+    passes its window set and hierarchy themselves, the SMT core a
+    quota-gated share of the window and an address-offsetting port.
+    """
+
+    __slots__ = (
+        "tid", "trace", "predictor", "stats", "window", "memory",
+        "trace_idx", "wrong_mode", "wrong_branch", "wrong_base_pc",
+        "wrong_k", "fetch_stall_until", "last_fetch_line", "decode_q",
+        "map", "rob", "pending_stores",
+        "level", "extra_wakeup_delay", "extra_branch_penalty",
+        "alloc_stall_until", "committed",
+    )
+
+    def __init__(self, tid: int, trace: "Trace", predictor: BranchPredictor,
+                 stats: SimStats, window, memory) -> None:
+        self.tid = tid
+        self.trace = trace
+        self.predictor = predictor
+        self.stats = stats
+        self.window = window
+        self.memory = memory
+        # fetch state
+        self.trace_idx = 0
+        self.wrong_mode = False
+        self.wrong_branch: InFlightOp | None = None
+        self.wrong_base_pc = 0
+        self.wrong_k = 0
+        self.fetch_stall_until = 0
+        self.last_fetch_line = -1
+        self.decode_q: deque[tuple[int, InFlightOp]] = deque()
+        # backend state
+        self.map: dict[int, InFlightOp] = {}
+        self.rob: deque[InFlightOp] = deque()
+        #: word address -> youngest in-flight store to that word, kept
+        #: from dispatch to commit (perfect memory disambiguation, as in
+        #: the paper's SimpleScalar substrate: a load only orders against
+        #: older stores to the *same* address, never against unrelated
+        #: stores with unresolved addresses).
+        self.pending_stores: dict[int, InFlightOp] = {}
+        #: the level whose depth (wakeup delay, branch penalty) the
+        #: thread runs at
+        self.level = 1
+        self.extra_wakeup_delay = 0
+        self.extra_branch_penalty = 0
+        self.alloc_stall_until = 0
+        self.committed = 0
+
+    def drained(self) -> bool:
+        """True when the trace is exhausted and the thread is empty."""
+        return (not self.wrong_mode
+                and self.trace_idx >= len(self.trace.ops)
+                and not self.rob and not self.decode_q)
+
+
 class Processor:
     """One simulated processor instance running one trace."""
 
@@ -149,10 +218,7 @@ class Processor:
         is False nothing is installed and the per-cycle paths carry no
         debug branches at all."""
         self.config = config
-        self.trace = trace
-        self.stats = SimStats()
         self.hierarchy = hierarchy or MemoryHierarchy(config)
-        self.predictor = BranchPredictor(config.branch)
         self.ideal = config.model is ModelKind.IDEAL
 
         if policy is not None:
@@ -169,7 +235,16 @@ class Processor:
         # physical resources in every model.
         self.window = WindowSet(config.levels, self.level,
                                 max_level=max(config.level, self.level))
-        self._update_level_params()
+        #: the hardware thread; ``trace``, ``stats``, ``predictor`` and
+        #: ``rob`` below are its own objects, not copies
+        self.thread = Thread(0, trace, BranchPredictor(config.branch),
+                             SimStats(), self.window, self.hierarchy)
+        self.threads = [self.thread]
+        self.trace = trace
+        self.stats = self.thread.stats
+        self.predictor = self.thread.predictor
+        self.rob = self.thread.rob
+        self._set_level(self.thread, self.level)
 
         self.hierarchy.add_l2_miss_listener(self._on_l2_miss)
 
@@ -180,36 +255,11 @@ class Processor:
         self._events: list[tuple[int, int, int, object]] = []
         self._event_seq = 0
 
-        # fetch state
-        self._trace_idx = 0
-        self._wrong_mode = False
-        self._wrong_branch: InFlightOp | None = None
-        self._wrong_base_pc = 0
-        self._wrong_k = 0
-        self._fetch_stall_until = 0
-        self._last_fetch_line = -1
-        self._decode_q: deque[tuple[int, InFlightOp]] = deque()
-
-        # backend state
-        self._map: dict[int, InFlightOp] = {}
-        self.rob: deque[InFlightOp] = deque()
+        # backend state: the ready heap orders every thread's ops
         self._ready: list[tuple[int, InFlightOp]] = []
-        #: word address -> youngest in-flight store to that word, kept
-        #: from dispatch to commit (perfect memory disambiguation, as in
-        #: the paper's SimpleScalar substrate: a load only orders against
-        #: older stores to the *same* address, never against unrelated
-        #: stores with unresolved addresses).
-        self._pending_stores: dict[int, InFlightOp] = {}
-        self._fu_limits = {
-            "int_alu": config.fu.int_alu,
-            "int_mul_div": config.fu.int_mul_div,
-            "mem_ports": config.fu.mem_ports,
-            "fp_alu": config.fu.fp_alu,
-            "fp_mul_div": config.fu.fp_mul_div,
-        }
         # hot-path vectors/scalars (indexed by _FU_INDEX / hoisted out of
         # the per-cycle stages; FU usage is reset each issue cycle)
-        self._fu_limit_vec = [self._fu_limits[p] for p in _FU_POOLS]
+        self._fu_limit_vec = [getattr(config.fu, pool) for pool in _FU_POOLS]
         self._fu_used_vec = [0] * len(_FU_POOLS)
         self._width = config.width
         self._l1i_line_bytes = config.l1i.line_bytes
@@ -225,7 +275,6 @@ class Processor:
         self._refresh_capacity_cache()
 
         # resizing state
-        self._alloc_stall_until = 0
         self._stop_alloc = False
         self._last_stall_reason: str | None = None
         #: True when the last fast-forward target was set by a policy
@@ -260,14 +309,17 @@ class Processor:
     # ------------------------------------------------------------------
     # level handling
 
-    def _update_level_params(self) -> None:
-        cfg = self.config.level_config(self.level)
+    def _set_level(self, thread: Thread, level: int) -> None:
+        """Run ``thread`` at ``level``'s depth: its extra wakeup delay and
+        branch penalty (none in the ideal model)."""
+        thread.level = level
         if self.ideal:
-            self.extra_wakeup_delay = 0
-            self.extra_branch_penalty = 0
+            thread.extra_wakeup_delay = 0
+            thread.extra_branch_penalty = 0
         else:
-            self.extra_wakeup_delay = cfg.extra_wakeup_delay
-            self.extra_branch_penalty = cfg.extra_branch_penalty
+            cfg = self.config.level_config(level)
+            thread.extra_wakeup_delay = cfg.extra_wakeup_delay
+            thread.extra_branch_penalty = cfg.extra_branch_penalty
 
     def _refresh_capacity_cache(self) -> None:
         """Capacities only change at level transitions; cache them so the
@@ -278,17 +330,24 @@ class Processor:
                          window.rob.max_capacity, window.lsq.max_capacity)
 
     def _apply_level(self, new_level: int) -> None:
-        if new_level > self.level:
-            self.stats.enlarge_transitions += 1
-        else:
-            self.stats.shrink_transitions += 1
-        self.stats.level_transitions.append((self.cycle, new_level))
         self.level = new_level
         self.window.resize_to(new_level)
-        self._update_level_params()
         self._refresh_capacity_cache()
-        self._alloc_stall_until = max(
-            self._alloc_stall_until,
+        self._change_level(self.thread, new_level)
+
+    def _change_level(self, thread: Thread, new_level: int) -> None:
+        """Move ``thread`` to ``new_level``: count the transition, give
+        it the level's depth and stall its allocation for the transition
+        penalty."""
+        stats = thread.stats
+        if new_level > thread.level:
+            stats.enlarge_transitions += 1
+        else:
+            stats.shrink_transitions += 1
+        stats.level_transitions.append((self.cycle, new_level))
+        self._set_level(thread, new_level)
+        thread.alloc_stall_until = max(
+            thread.alloc_stall_until,
             self.cycle + self.config.transition_penalty)
 
     def _on_l2_miss(self, detect_cycle: int) -> None:
@@ -307,43 +366,62 @@ class Processor:
         processed = 0
         events = self._events
         now = self.cycle
-        complete_op = self._complete_op
+        schedule = self._schedule
         while events and events[0][0] <= now:
-            __, ___, kind, payload = _heappop(events)
+            __, ___, kind, op = _heappop(events)
             processed += 1
-            if kind == _EV_COMPLETE:
-                complete_op(payload)
-            elif kind == _EV_WAKE:
-                self._wake_consumers(payload)
-            elif kind == _EV_RA_EXIT:
-                self.runahead.exit_runahead(now)
+            if kind != _EV_COMPLETE:
+                if kind == _EV_WAKE:
+                    self._wake_consumers(op)
+                else:   # _EV_RA_EXIT
+                    self.runahead.exit_runahead(now)
+                continue
+            # the op finished executing
+            if op.squashed or op.complete:
+                continue
+            op.complete = True
+            op.complete_cycle = now
+            uop = op.uop
+            thread = op.thread
+            if uop.is_branch and op.branch_token is not None:
+                # branch resolution: a mispredict squashes the thread's
+                # younger ops and restarts its fetch after the penalty
+                thread.predictor.resolve(op.branch_token, uop.taken,
+                                         uop.target)
+                if op.mispredicted:
+                    self._squash_after(thread, op.seq)
+                    if thread.wrong_branch is op:
+                        thread.wrong_mode = False
+                        thread.wrong_branch = None
+                    penalty = (self.config.branch.mispredict_penalty
+                               + thread.extra_branch_penalty)
+                    thread.fetch_stall_until = max(
+                        thread.fetch_stall_until, now + penalty)
+                    thread.last_fetch_line = -1
+            if uop.is_store and op.fwd_waiters:
+                # the store executed: satisfy loads waiting to forward
+                waiters = op.fwd_waiters
+                op.fwd_waiters = None
+                for load in waiters:
+                    if not load.squashed:
+                        schedule(now + 1, _EV_COMPLETE, load)
+            # A pipelined wakeup/select loop of depth d forbids
+            # back-to-back dependent issue: the consumer cannot issue
+            # before producer_issue + d.  For producers whose execution
+            # latency is at least d the broadcast has already caught up,
+            # so only short-latency producers (the ILP-critical IALU
+            # chains) pay.
+            latency = now - op.issue_cycle
+            depth = thread.extra_wakeup_delay + 1
+            delay = depth - (latency if latency > 1 else 1)
+            thread.stats.activity.iq_wakeups += 1
+            if delay <= 0:
+                op.woken_at = now
+                self._wake_consumers(op)
+            else:
+                op.woken_at = now + delay
+                schedule(op.woken_at, _EV_WAKE, op)
         return processed
-
-    def _complete_op(self, op: InFlightOp) -> None:
-        if op.squashed or op.complete:
-            return
-        now = self.cycle
-        op.complete = True
-        op.complete_cycle = now
-        uop = op.uop
-        if uop.is_branch and op.branch_token is not None:
-            self._resolve_branch(op)
-        if uop.is_store:
-            self._store_executed(op)
-        # A pipelined wakeup/select loop of depth d forbids back-to-back
-        # dependent issue: the consumer cannot issue before
-        # producer_issue + d.  For producers whose execution latency is
-        # at least d the broadcast has already caught up, so only
-        # short-latency producers (the ILP-critical IALU chains) pay.
-        latency = now - op.issue_cycle
-        delay = self.extra_wakeup_delay + 1 - (latency if latency > 1 else 1)
-        self.stats.activity.iq_wakeups += 1
-        if delay <= 0:
-            op.woken_at = now
-            self._wake_consumers(op)
-        else:
-            op.woken_at = now + delay
-            self._schedule(op.woken_at, _EV_WAKE, op)
 
     def _wake_consumers(self, op: InFlightOp) -> None:
         consumers = op.consumers
@@ -364,68 +442,65 @@ class Processor:
                 _heappush(ready, (consumer.seq, consumer))
 
     # ------------------------------------------------------------------
-    # branch resolution
+    # squash
 
-    def _resolve_branch(self, op: InFlightOp) -> None:
-        uop = op.uop
-        self.predictor.resolve(op.branch_token, uop.taken, uop.target)
-        if not op.mispredicted:
-            return
-        self._squash_after(op.seq)
-        if self._wrong_branch is op:
-            self._wrong_mode = False
-            self._wrong_branch = None
-        penalty = (self.config.branch.mispredict_penalty
-                   + self.extra_branch_penalty)
-        self._fetch_stall_until = max(self._fetch_stall_until,
-                                      self.cycle + penalty)
-        self._last_fetch_line = -1
-
-    def _squash_after(self, after_seq: int) -> None:
-        """Remove every op younger than ``after_seq`` from the machine."""
-        rob = self.rob
-        release = self.window.release
-        squashed = len(self._decode_q)
+    def _squash_after(self, thread: Thread, after_seq: int) -> None:
+        """Remove every op of ``thread`` younger than ``after_seq`` from
+        the machine; other threads' ops stay."""
+        rob = thread.rob
+        release = thread.window.release
+        queue = thread.decode_q
+        squashed = len(queue)
         while rob and rob[-1].seq > after_seq:
             op = rob.pop()
             op.squashed = True
             release(op.in_iq and not op.issued, op.uop.is_mem)
             squashed += 1
-        for __, op in self._decode_q:
+        for __, op in queue:
             op.squashed = True
-        self._decode_q.clear()
-        self.stats.squashed_uops += squashed
+        queue.clear()
+        thread.stats.squashed_uops += squashed
         # Rebuild the map table and the pending-store table from the
         # surviving ROB contents.
-        self._map.clear()
-        self._pending_stores.clear()
+        rename = thread.map
+        pending_stores = thread.pending_stores
+        rename.clear()
+        pending_stores.clear()
         for op in rob:
             dst = op.uop.dst
             if dst != REG_INVALID:
-                self._map[dst] = op
+                rename[dst] = op
             if op.uop.is_store:
-                self._pending_stores[op.uop.addr & ~7] = op
+                pending_stores[op.uop.addr & ~7] = op
 
     # ------------------------------------------------------------------
     # commit
 
-    def _commit_stage(self) -> int:
+    def _commit_stage(self, thread: Thread | None = None,
+                      budget: int = 0) -> int:
+        """Retire up to ``budget`` of ``thread``'s ops in order; returns
+        how many left the ROB (runahead pseudo-retirement included).
+        Called bare it commits the one thread at full width and charges
+        the unused slots to the CPI stack; the SMT core passes each
+        thread and the slots still free, and keeps no CPI stack."""
+        cpi_stack = thread is None
+        if cpi_stack:
+            thread = self.thread
+            budget = self._width
         committed = 0
-        rob = self.rob
-        width = self._width
-        window = self.window
-        release = window.release
+        rob = thread.rob
+        release = thread.window.release
         engine = self.runahead
         in_runahead = engine is not None and engine.active
         now = self.cycle
-        stats = self.stats
+        stats = thread.stats
         tracer = self.tracer
         # the commit totals are added once per call; committed_uops is
         # also brought up to date before each committed mispredict,
         # whose Table 5 distance reads it
         base = stats.committed_uops
         retired = loads = stores = branches = 0
-        while rob and committed < width:
+        while rob and committed < budget:
             op = rob[0]
             uop = op.uop
             if in_runahead:
@@ -454,9 +529,9 @@ class Processor:
             elif uop.is_store:
                 stores += 1
                 word = uop.addr & ~7
-                if self._pending_stores.get(word) is op:
-                    del self._pending_stores[word]
-                self.hierarchy.store(uop.addr, now, _CORRECT)
+                if thread.pending_stores.get(word) is op:
+                    del thread.pending_stores[word]
+                thread.memory.store(uop.addr, now, _CORRECT)
             elif uop.is_branch:
                 branches += 1
                 if op.mispredicted:
@@ -465,6 +540,7 @@ class Processor:
                     stats.note_mispredict_commit()
         if retired:
             self.committed_total += retired
+            thread.committed += retired
             stats.committed_uops = base + retired
             stats.committed_loads += loads
             stats.committed_stores += stores
@@ -474,8 +550,10 @@ class Processor:
             # keep the WindowSet's commit counter current: feedback
             # policies (ContributionPolicy) read their commit-throughput
             # signal from it at tick time
-            window.committed += committed
-        if committed == width:
+            self.window.committed += committed
+        if not cpi_stack:
+            return committed
+        if committed == budget:
             self._last_stall_reason = None
             return committed
         # charge the unused slots to why the ROB head could not commit
@@ -499,7 +577,7 @@ class Processor:
                 reason = "deps"
             else:
                 reason = "issue"
-        stats.note_stall_slots(reason, width - committed)
+        stats.note_stall_slots(reason, budget - committed)
         self._last_stall_reason = reason
         return committed
 
@@ -515,7 +593,8 @@ class Processor:
         fu_used = self._fu_used_vec
         fu_used[0] = fu_used[1] = fu_used[2] = fu_used[3] = fu_used[4] = 0
         fu_limits = self._fu_limit_vec
-        issue_op = self._issue_op
+        schedule = self._schedule
+        engine = self.runahead
         deferred: list[tuple[int, InFlightOp]] = []
         defer = deferred.append
         scans = 0
@@ -529,135 +608,131 @@ class Processor:
             if op.ready_cycle > now:
                 defer(item)
                 continue
-            pool = _FU_INDEX[op.uop.op]
+            uop = op.uop
+            pool = _FU_INDEX[uop.op]
             if fu_used[pool] >= fu_limits[pool]:
                 defer(item)
                 continue
             fu_used[pool] += 1
-            issue_op(op)
             issued += 1
+            op.issued = True
+            op.issue_cycle = now
+            thread = op.thread
+            if op.in_iq:
+                thread.window.iq.release()
+                op.in_iq = False
+            stats = thread.stats
+            stats.issued_uops += 1
+            activity = stats.activity
+            activity.iq_issues += 1
+            activity.fu_ops += 1
+            if op.inherit_inv:
+                op.inv = True
+            if uop.is_load:
+                start = now + EXEC_LATENCY[uop.op]     # address generation
+                op.addr_known_cycle = start
+                activity.lsq_searches += 1
+                if op.inv:
+                    # Runahead INV address: produce INV without touching
+                    # memory.
+                    schedule(start + 1, _EV_COMPLETE, op)
+                    continue
+                word = uop.addr & ~7
+                store = thread.pending_stores.get(word)
+                if (store is not None and not store.squashed
+                        and store.seq < op.seq):
+                    op.forwarded = True
+                    if engine is not None and store.inv:
+                        op.inv = True
+                    if store.complete:
+                        schedule(max(start, store.complete_cycle) + 1,
+                                 _EV_COMPLETE, op)
+                    elif store.fwd_waiters is None:
+                        # forward once the producing store has executed
+                        store.fwd_waiters = [op]
+                    else:
+                        store.fwd_waiters.append(op)
+                    continue
+                episode = (engine if engine is not None and engine.active
+                           else None)
+                if episode is not None:
+                    if episode.cache_hit(word):
+                        op.forwarded = True
+                        schedule(start + 1, _EV_COMPLETE, op)
+                        continue
+                    if not episode.may_issue_fill(self.hierarchy, start):
+                        # Miss buffers saturated / episode fill budget
+                        # exhausted: drop the runahead fill and INV the
+                        # load.
+                        op.inv = True
+                        schedule(start + 2, _EV_COMPLETE, op)
+                        continue
+                activity.l1d_accesses += 1
+                result = thread.memory.load(
+                    uop.addr, start, uop.pc,
+                    _WRONG if op.wrong_path else _CORRECT)
+                done = result.complete_cycle
+                # Record the scheduled fill time eagerly: the runahead
+                # engine needs it to time its exit while the load is
+                # still incomplete.
+                op.complete_cycle = done
+                if result.l2_miss:
+                    op.l2_miss = True
+                    if not op.wrong_path:
+                        stats.demand_miss_intervals.append((start, done))
+                if episode is not None and (
+                        result.l2_miss
+                        or done - start > self.config.l2.hit_latency + 8):
+                    # Runahead: a long-latency load (a fresh L2 miss, or
+                    # a merge into a line another miss is still
+                    # fetching) gets an INV result immediately while its
+                    # fill proceeds underneath (the prefetching effect).
+                    # Blocking on it would stall pseudo-retirement for
+                    # the rest of the episode.
+                    op.inv = True
+                    if result.l2_miss:
+                        episode.note_episode_miss()
+                    done = start + 2
+                schedule(done, _EV_COMPLETE, op)
+            elif uop.is_store:
+                start = now + EXEC_LATENCY[uop.op]
+                op.addr_known_cycle = start
+                if engine is not None and engine.active and not op.inv:
+                    engine.cache_write(uop.addr & ~7)
+                schedule(start, _EV_COMPLETE, op)
+            else:
+                schedule(now + EXEC_LATENCY[uop.op], _EV_COMPLETE, op)
         for item in deferred:
             _heappush(ready, item)
         return issued
 
-    def _issue_op(self, op: InFlightOp) -> None:
-        now = self.cycle
-        op.issued = True
-        op.issue_cycle = now
-        if op.in_iq:
-            self.window.iq.release()
-            op.in_iq = False
-        stats = self.stats
-        stats.issued_uops += 1
-        activity = stats.activity
-        activity.iq_issues += 1
-        activity.fu_ops += 1
-        if op.inherit_inv:
-            op.inv = True
-        uop = op.uop
-        if uop.is_load:
-            start = now + EXEC_LATENCY[uop.op]     # address generation
-            op.addr_known_cycle = start
-            activity.lsq_searches += 1
-            if op.inv:
-                # Runahead INV address: produce INV without touching memory.
-                self._schedule(start + 1, _EV_COMPLETE, op)
-                return
-            engine = self.runahead
-            word = uop.addr & ~7
-            store = self._pending_stores.get(word)
-            if store is not None and not store.squashed and store.seq < op.seq:
-                op.forwarded = True
-                if engine is not None and store.inv:
-                    op.inv = True
-                if store.complete:
-                    self._schedule(max(start, store.complete_cycle) + 1,
-                                   _EV_COMPLETE, op)
-                elif store.fwd_waiters is None:
-                    # forward once the producing store has executed
-                    store.fwd_waiters = [op]
-                else:
-                    store.fwd_waiters.append(op)
-                return
-            episode = engine if engine is not None and engine.active else None
-            if episode is not None:
-                if episode.cache_hit(word):
-                    op.forwarded = True
-                    self._schedule(start + 1, _EV_COMPLETE, op)
-                    return
-                if not episode.may_issue_fill(self.hierarchy, start):
-                    # Miss buffers saturated / episode fill budget
-                    # exhausted: drop the runahead fill and INV the load.
-                    op.inv = True
-                    self._schedule(start + 2, _EV_COMPLETE, op)
-                    return
-            activity.l1d_accesses += 1
-            result = self.hierarchy.load(uop.addr, start, uop.pc,
-                                         _WRONG if op.wrong_path else _CORRECT)
-            done = result.complete_cycle
-            # Record the scheduled fill time eagerly: the runahead engine
-            # needs it to time its exit while the load is still incomplete.
-            op.complete_cycle = done
-            if result.l2_miss:
-                op.l2_miss = True
-                if not op.wrong_path:
-                    stats.demand_miss_intervals.append((start, done))
-            if episode is not None and (
-                    result.l2_miss
-                    or done - start > self.config.l2.hit_latency + 8):
-                # Runahead: a long-latency load (a fresh L2 miss, or a
-                # merge into a line another miss is still fetching) gets
-                # an INV result immediately while its fill proceeds
-                # underneath (the prefetching effect).  Blocking on it
-                # would stall pseudo-retirement for the rest of the
-                # episode.
-                op.inv = True
-                if result.l2_miss:
-                    episode.note_episode_miss()
-                done = start + 2
-            self._schedule(done, _EV_COMPLETE, op)
-        elif uop.is_store:
-            start = now + EXEC_LATENCY[uop.op]
-            op.addr_known_cycle = start
-            engine = self.runahead
-            if engine is not None and engine.active and not op.inv:
-                engine.cache_write(uop.addr & ~7)
-            self._schedule(start, _EV_COMPLETE, op)
-        else:
-            self._schedule(now + EXEC_LATENCY[uop.op], _EV_COMPLETE, op)
-
-    def _store_executed(self, op: InFlightOp) -> None:
-        """A store finished executing: satisfy loads waiting to forward."""
-        waiters = op.fwd_waiters
-        if not waiters:
-            return
-        op.fwd_waiters = None
-        now = self.cycle
-        for load in waiters:
-            if load.squashed:
-                continue
-            self._schedule(now + 1, _EV_COMPLETE, load)
-
     # ------------------------------------------------------------------
     # dispatch
 
-    def _dispatch_stage(self) -> int:
+    def _dispatch_stage(self, thread: Thread | None = None,
+                        budget: int = 0) -> int:
+        """Rename up to ``budget`` of ``thread``'s decoded ops into the
+        window; returns how many were dispatched.  Called bare it
+        dispatches the one thread at full width; the SMT core passes
+        each thread and the slots still free."""
+        if thread is None:
+            thread = self.thread
+            budget = self._width
         now = self.cycle
-        queue = self._decode_q
-        if now < self._alloc_stall_until or self._stop_alloc:
+        queue = thread.decode_q
+        if now < thread.alloc_stall_until or self._stop_alloc:
             if queue:
-                self.stats.dispatch_stall_cycles += 1
+                thread.stats.dispatch_stall_cycles += 1
             return 0
         dispatched = wrong_path = 0
         next_cycle = now + 1
-        width = self._width
-        window = self.window
+        window = thread.window
         try_allocate = window.try_allocate
-        rename = self._map
+        rename = thread.map
         map_get = rename.get
         ready = self._ready
-        rob = self.rob
-        while queue and dispatched < width:
+        rob = thread.rob
+        while queue and dispatched < budget:
             ready_at, op = queue[0]
             if ready_at > now:
                 break
@@ -668,7 +743,7 @@ class Processor:
                 # allocation changes nothing), keeping full_events ==
                 # number of cycles the resource blocked allocation
                 window.note_alloc_stall(1, 1, is_mem)
-                self.stats.dispatch_stall_cycles += 1
+                thread.stats.dispatch_stall_cycles += 1
                 break
             queue.popleft()
             dispatched += 1
@@ -698,9 +773,9 @@ class Processor:
                 rename[uop.dst] = op
             rob.append(op)
             if uop.is_store:
-                self._pending_stores[uop.addr & ~7] = op
+                thread.pending_stores[uop.addr & ~7] = op
         if dispatched:
-            stats = self.stats
+            stats = thread.stats
             stats.dispatched_uops += dispatched
             stats.wrong_path_uops += wrong_path
             activity = stats.activity
@@ -712,12 +787,18 @@ class Processor:
     # ------------------------------------------------------------------
     # fetch
 
-    def _fetch_stage(self) -> int:
+    def _fetch_stage(self, thread: Thread | None = None) -> int:
+        """Fetch up to a width of ``thread``'s ops into its decode queue;
+        returns how many were fetched.  Called bare it fetches for the
+        one thread; the SMT core passes the thread it selected, which is
+        never fetch-stalled."""
+        if thread is None:
+            thread = self.thread
         now = self.cycle
-        if now < self._fetch_stall_until:
-            self.stats.fetch_stall_cycles += 1
+        if now < thread.fetch_stall_until:
+            thread.stats.fetch_stall_cycles += 1
             return 0
-        queue = self._decode_q
+        queue = thread.decode_q
         # the decode queue grows by one per fetched op; a full queue
         # (the window backed up) is the common idle cycle, so the stage
         # returns before reading anything else
@@ -725,20 +806,20 @@ class Processor:
         if limit <= 0:
             return 0
         fetched = l1i_accesses = branches = 0
-        trace = self.trace
+        trace = thread.trace
         trace_ops = trace.ops
         n_trace_ops = len(trace_ops)
         l1i_line = self._l1i_line_bytes
         hit_done = now + self._l1i_hit_latency
         decoded_at = now + DECODE_LATENCY
-        trace_idx = self._trace_idx
-        wrong_mode = self._wrong_mode
-        last_line = self._last_fetch_line
+        trace_idx = thread.trace_idx
+        wrong_mode = thread.wrong_mode
+        last_line = thread.last_fetch_line
         seq = self._seq
         while fetched < limit:
             if wrong_mode:
-                uop = trace.wrong_path.op_at(self._wrong_base_pc,
-                                             self._wrong_k)
+                uop = trace.wrong_path.op_at(thread.wrong_base_pc,
+                                             thread.wrong_k)
                 idx = -1
             elif trace_idx < n_trace_ops:
                 uop = trace_ops[trace_idx]
@@ -750,18 +831,18 @@ class Processor:
             line = pc - (pc % l1i_line)
             if line != last_line:
                 l1i_accesses += 1
-                done = self.hierarchy.ifetch(pc, now)
+                done = thread.memory.ifetch(pc, now)
                 last_line = line
                 if done > hit_done:
-                    self._fetch_stall_until = done
+                    thread.fetch_stall_until = done
                     break
             seq += 1
-            op = InFlightOp(seq, uop, idx, wrong_mode)
+            op = InFlightOp(seq, uop, idx, wrong_mode, thread)
             op.fetch_cycle = now
             queue.append((decoded_at, op))
             fetched += 1
             if wrong_mode:
-                self._wrong_k += 1
+                thread.wrong_k += 1
                 if uop.is_branch:       # taken wrong-path branch
                     break
                 continue
@@ -771,23 +852,23 @@ class Processor:
             # predict a correct-path branch; a predicted-taken redirect
             # ends the fetch cycle (the taken-branch bubble)
             branches += 1
-            pred_taken, pred_target, op.branch_token = self.predictor.predict(
-                pc, pc + 4)
+            pred_taken, pred_target, op.branch_token = (
+                thread.predictor.predict(pc, pc + 4))
             taken = uop.taken
             if pred_taken != taken or (taken and pred_target != uop.target):
                 op.mispredicted = True
                 wrong_mode = True
-                self._wrong_branch = op
-                self._wrong_base_pc = pred_target if pred_taken else pc + 4
-                self._wrong_k = 0
+                thread.wrong_branch = op
+                thread.wrong_base_pc = pred_target if pred_taken else pc + 4
+                thread.wrong_k = 0
             if pred_taken:
                 break
-        self._trace_idx = trace_idx
-        self._wrong_mode = wrong_mode
-        self._last_fetch_line = last_line
+        thread.trace_idx = trace_idx
+        thread.wrong_mode = wrong_mode
+        thread.last_fetch_line = last_line
         self._seq = seq
         if fetched or l1i_accesses:
-            activity = self.stats.activity
+            activity = thread.stats.activity
             activity.l1i_accesses += l1i_accesses
             activity.fetches += fetched
             activity.decodes += fetched
@@ -836,9 +917,10 @@ class Processor:
         activity.iq_max_cycles += iq_m * delta
         activity.rob_max_cycles += rob_m * delta
         activity.lsq_max_cycles += lsq_m * delta
-        if self.cycle < self._alloc_stall_until:
+        stall_until = self.thread.alloc_stall_until
+        if self.cycle < stall_until:
             stats.transition_stall_cycles += min(
-                delta, self._alloc_stall_until - self.cycle)
+                delta, stall_until - self.cycle)
 
     def step_cycle(self) -> int:
         """Simulate the current cycle through every stage.
@@ -880,27 +962,34 @@ class Processor:
         "what was the machine doing when it wedged?".
         """
         window = self.window
+        h = self.hierarchy
         lines = [
             f"deadlock at cycle {self.cycle}: {headline}",
-            f"  committed={self.committed_total} trace_idx={self._trace_idx}"
-            f"/{len(self.trace.ops)} wrong_mode={self._wrong_mode}",
-            f"  level={self.level} stop_alloc={self._stop_alloc} "
-            f"alloc_stall_until={self._alloc_stall_until} "
-            f"fetch_stall_until={self._fetch_stall_until}",
+            f"  committed={self.committed_total} level={self.level} "
+            f"stop_alloc={self._stop_alloc}",
             f"  rob={window.rob!r} iq={window.iq!r} lsq={window.lsq!r}",
-            f"  rob_head={self.rob[0]!r}" if self.rob else "  rob empty",
-            f"  decode_q={len(self._decode_q)} entries"
-            + (f", head ready at {self._decode_q[0][0]}"
-               if self._decode_q else ""),
             f"  events={len(self._events)} scheduled, "
             f"ready={len(self._ready)} queued",
             f"  policy={type(self.policy).__name__} "
             f"next_timer={self.policy.next_timer()}",
-            f"  mshr: l1d {self.hierarchy.l1d_mshr.in_flight(self.cycle)}"
-            f"/{self.hierarchy.l1d_mshr.entries} in flight, "
-            f"l2 {self.hierarchy.l2_mshr.in_flight(self.cycle)}"
-            f"/{self.hierarchy.l2_mshr.entries}",
+            f"  mshr: l1d {h.l1d_mshr.in_flight(self.cycle)}"
+            f"/{h.l1d_mshr.entries} in flight, "
+            f"l2 {h.l2_mshr.in_flight(self.cycle)}/{h.l2_mshr.entries}",
         ]
+        for t in self.threads:
+            queue = t.decode_q
+            lines += [
+                f"  t{t.tid} {t.trace.name}: level={t.level} "
+                f"committed={t.committed} "
+                f"trace_idx={t.trace_idx}/{len(t.trace.ops)} "
+                f"wrong_mode={t.wrong_mode} "
+                f"fetch_stall_until={t.fetch_stall_until} "
+                f"alloc_stall_until={t.alloc_stall_until}"
+                + ("" if t.window is window else f" {t.window!r}"),
+                f"    rob_head={t.rob[0]!r}" if t.rob else "    rob empty",
+                f"    decode_q={len(queue)} entries"
+                + (f", head ready at {queue[0][0]}" if queue else ""),
+            ]
         if self.debug is not None:
             lines.append("last traced events:")
             lines.append(self.debug.events.render(last=32))
@@ -938,9 +1027,10 @@ class Processor:
     def _trace_done(self) -> bool:
         if self.runahead is not None and self.runahead.active:
             return False    # fetch index will be rewound at runahead exit
-        return (not self._wrong_mode
-                and self._trace_idx >= len(self.trace.ops)
-                and not self.rob and not self._decode_q)
+        thread = self.thread
+        return (not thread.wrong_mode
+                and thread.trace_idx >= len(thread.trace.ops)
+                and not thread.rob and not thread.decode_q)
 
     def trace_drained(self) -> bool:
         """True when the trace is exhausted and the machine is empty.
@@ -955,15 +1045,16 @@ class Processor:
 
     def _next_interesting_cycle(self) -> int | None:
         now = self.cycle
+        thread = self.thread
         candidates = []
         if self._events:
             candidates.append(self._events[0][0])
-        if self._fetch_stall_until > now:
-            candidates.append(self._fetch_stall_until)
-        if self._alloc_stall_until > now:
-            candidates.append(self._alloc_stall_until)
-        if self._decode_q:
-            head_ready = self._decode_q[0][0]
+        if thread.fetch_stall_until > now:
+            candidates.append(thread.fetch_stall_until)
+        if thread.alloc_stall_until > now:
+            candidates.append(thread.alloc_stall_until)
+        if thread.decode_q:
+            head_ready = thread.decode_q[0][0]
             if head_ready > now:
                 candidates.append(head_ready)
         # an inert (static or pinned) policy never acts, so its per-cycle
@@ -991,40 +1082,39 @@ class Processor:
         """Checkpoint-style cache warming (DESIGN.md §5).
 
         ``budget_fraction`` caps the total prewarm at that fraction of
-        the L2 (multi-core systems split it between cores).
+        the L2 (multi-core systems split it between cores, and the
+        threads of an SMT core split it evenly between them).
 
         The paper skips 16G instructions before measuring, which leaves
         resident working sets warm.  A Python-scale sample cannot afford
-        that, so the trace's declared resident regions are pre-installed:
-        into the L2 (capped at half its capacity per region so steady-state
-        capacity pressure is preserved) and, for small hot sets, the L1D.
-        Pre-installed lines count as touched correct-path lines in the
-        Figure 11 accounting.
+        that, so each thread's declared resident regions are
+        pre-installed in its own address space: into the L2 (capped at
+        half its capacity per region so steady-state capacity pressure
+        is preserved) and, for small hot sets, the L1D.  Pre-installed
+        lines count as touched correct-path lines in the Figure 11
+        accounting.  Each thread's predictor is pretrained too.
         """
-        self._prewarm_regions(self.trace.warm_regions, budget_fraction)
-        pretrain_predictor(self.predictor, self.trace.ops)
-
-    def _prewarm_regions(self, regions, budget_fraction: float,
-                         offset: int = 0) -> None:
-        """Pre-install ``regions`` (shifted by ``offset`` bytes) within
-        ``budget_fraction`` of the L2."""
-        # Total prewarm is capped below the L2 capacity and allocated by
-        # priority (hot sets first, then the smaller regions) — warming
-        # more than fits would just self-evict and manufacture thrash the
-        # steady state does not have.
         h = self.hierarchy
-        budget = int(self.config.l2.size_bytes * budget_fraction)
         line = h.l2.line_bytes
-        for base, size, l1_too in sorted(regions,
-                                         key=lambda r: (not r[2], r[1])):
-            span = min(size, budget)
-            span -= span % line
-            if span <= 0:
-                break
-            budget -= span
-            h.l2.install_span(base + offset, span, touched=True)
-            if l1_too and size <= self.config.l1d.size_bytes:
-                h.l1d.install_span(base + offset, size)
+        share = budget_fraction / len(self.threads)
+        for thread in self.threads:
+            offset = thread.tid * DATA_OFFSET
+            # Total prewarm is capped below the L2 capacity and allocated
+            # by priority (hot sets first, then the smaller regions) —
+            # warming more than fits would just self-evict and
+            # manufacture thrash the steady state does not have.
+            budget = int(self.config.l2.size_bytes * share)
+            for base, size, l1_too in sorted(thread.trace.warm_regions,
+                                             key=lambda r: (not r[2], r[1])):
+                span = min(size, budget)
+                span -= span % line
+                if span <= 0:
+                    break
+                budget -= span
+                h.l2.install_span(base + offset, span, touched=True)
+                if l1_too and size <= self.config.l1d.size_bytes:
+                    h.l1d.install_span(base + offset, size)
+            pretrain_predictor(thread.predictor, thread.trace.ops)
 
     def reset_measurement(self) -> None:
         """Zero all statistics (microarchitectural state is retained) —
@@ -1034,37 +1124,48 @@ class Processor:
         multi-core L2/channel) are left to the system-level reset so
         their counters are zeroed exactly once, not once per core.
         """
-        self.stats.reset()
+        for thread in self.threads:
+            thread.stats.reset()
+            thread.predictor.predictions = 0
+            thread.predictor.mispredictions = 0
         self.hierarchy.reset_measurement()
-        self.predictor.predictions = 0
-        self.predictor.mispredictions = 0
 
     def result(self) -> SimulationResult:
         """Snapshot the measured statistics into a result record."""
-        stats = self.stats
+        return self._thread_result(self.thread)
+
+    def _thread_result(self, thread: Thread) -> SimulationResult:
+        return self._result(thread.trace.name, self.config.model.value,
+                            thread.stats, thread.predictor.mispredict_rate())
+
+    def _result(self, program: str, model: str, stats: SimStats,
+                mispredict_rate: float) -> SimulationResult:
+        """A result record of ``stats``; the memory figures are
+        hierarchy-wide."""
+        h = self.hierarchy
         return SimulationResult(
-            program=self.trace.name,
-            model=self.config.model.value,
+            program=program,
+            model=model,
             level=self.config.level,
             cycles=stats.cycles,
             instructions=stats.committed_uops,
             ipc=stats.ipc,
-            avg_load_latency=self.hierarchy.average_load_latency(),
-            mispredict_rate=self.predictor.mispredict_rate(),
+            avg_load_latency=h.average_load_latency(),
+            mispredict_rate=mispredict_rate,
             mlp=mlp_from_intervals(stats.demand_miss_intervals),
             level_residency=stats.level_residency(),
-            line_usage=self.hierarchy.line_usage().as_dict(),
+            line_usage=h.line_usage().as_dict(),
             memory_stats={
-                "l1i_accesses": self.hierarchy.l1i.accesses,
-                "l1i_misses": self.hierarchy.l1i.misses,
-                "l1d_accesses": self.hierarchy.l1d.accesses,
-                "l1d_misses": self.hierarchy.l1d.misses,
-                "l2_accesses": self.hierarchy.l2.accesses,
-                "l2_misses": self.hierarchy.l2.misses,
-                "dram_requests": self.hierarchy.memory.requests,
-                "prefetch_fills": self.hierarchy.prefetch_fills,
-                "row_hit_rate": getattr(self.hierarchy.memory,
-                                        "row_hit_rate", lambda: 0.0)(),
+                "l1i_accesses": h.l1i.accesses,
+                "l1i_misses": h.l1i.misses,
+                "l1d_accesses": h.l1d.accesses,
+                "l1d_misses": h.l1d.misses,
+                "l2_accesses": h.l2.accesses,
+                "l2_misses": h.l2.misses,
+                "dram_requests": h.memory.requests,
+                "prefetch_fills": h.prefetch_fills,
+                "row_hit_rate": getattr(h.memory, "row_hit_rate",
+                                        lambda: 0.0)(),
             },
             stats=stats,
         )

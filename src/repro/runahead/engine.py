@@ -147,13 +147,14 @@ class RunaheadEngine:
             self.rcst.update(trigger.uop.pc, useful)
         # Flush the whole machine: every in-flight op is younger than the
         # checkpoint (the trigger pseudo-retired at entry).
-        proc._squash_after(0)
-        proc._wrong_mode = False
-        proc._wrong_branch = None
-        proc._trace_idx = self._checkpoint_idx
-        proc._fetch_stall_until = max(proc._fetch_stall_until,
-                                      cycle + self.exit_penalty)
-        proc._last_fetch_line = -1
+        thread = proc.thread
+        proc._squash_after(thread, 0)
+        thread.wrong_mode = False
+        thread.wrong_branch = None
+        thread.trace_idx = self._checkpoint_idx
+        thread.fetch_stall_until = max(thread.fetch_stall_until,
+                                       cycle + self.exit_penalty)
+        thread.last_fetch_line = -1
         self._cache.clear()
         self.active = False
         self._trigger = None

@@ -13,9 +13,11 @@ violation is a simulator bug regardless of sample size):
 * **smt-baseline** — a 1-thread SMT run under the ``equal`` partition
   (whose single-thread quota degrades to the whole window at the
   provisioned level) is bit-identical to the single-core baseline
-  ``fixed`` model on the same trace.  This is the SMT analogue of the
-  pin-equivalence oracle: it proves the thread-indexed stages reduce
-  exactly to the baseline stages when there is nothing to share.
+  ``fixed`` model on the same trace.  Both cores run the same stage
+  bodies, so this is the SMT analogue of the pin-equivalence oracle
+  for what the SMT core adds around them: the quota partition, the
+  address-offsetting memory port and the thread selectors must leave
+  no trace on timing when there is nothing to share.
 
 * **smt-invariants** — 2- and 3-thread runs under every partition
   policy with per-cycle invariant validation on: partitions never

@@ -40,7 +40,7 @@ class TestFrontEnd:
         proc = Processor(base_config(), make_trace(ops))
         warm_icache(proc)
         proc.run(until_committed=1)   # just the load
-        assert len(proc._decode_q) <= FETCH_BUFFER
+        assert len(proc.thread.decode_q) <= FETCH_BUFFER
 
     def test_taken_branch_costs_a_fetch_bubble(self):
         """A dense sequence of taken branches fetches ~1/cycle, not 4."""
