@@ -34,10 +34,10 @@ import pickle
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
-from repro.config import ProcessorConfig, config_fingerprint
+from repro.config import ModelKind, ProcessorConfig, config_fingerprint
 from repro.core.policies import ResizingPolicy
 from repro.stats import SimulationResult
 from repro.stats.counters import SimStats
@@ -146,6 +146,36 @@ def result_key(program: str, config: ProcessorConfig, *,
         str(trace_ops), config_fingerprint(config),
         policy_fingerprint(policy), _stable_repr(key_extra)))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def timing_class(spec: "JobSpec") -> str | None:
+    """Key of the machine ``spec`` actually simulates, or None for a job
+    that is always its own class.
+
+    Jobs of one class produce the same result in every field but
+    ``model``, so a campaign simulates one of them and books a relabelled
+    copy for the rest (:func:`repro.experiments.parallel.execute_campaign`).
+    Timing reads ``config.model`` only to pick the policy and the
+    runahead engine in ``Processor.__init__`` and the depth in
+    ``Processor._set_level``, where IDEAL zeroes the active level's
+    extra wakeup delay and branch penalty.  An IDEAL config whose active
+    level has neither is therefore the FIXED machine, and its class is
+    the FIXED config's key.  An explicit policy, SMT, the sanitizer,
+    telemetry or ``fast_forward=False`` keeps a job to itself.  The
+    ``timing-equivalence`` oracle of :mod:`repro.verify` checks every
+    merge this makes.
+    """
+    config = spec.config
+    if (spec.policy is not None or config.smt is not None or spec.sanitize
+            or spec.telemetry_period or not spec.fast_forward):
+        return None
+    level = config.active_level
+    if (config.model is not ModelKind.IDEAL or level.extra_wakeup_delay
+            or level.extra_branch_penalty):
+        return spec.key
+    return result_key(spec.program, replace(config, model=ModelKind.FIXED),
+                      seed=spec.seed, warmup=spec.warmup,
+                      measure=spec.measure, trace_ops=spec.trace_ops)
 
 
 # ----------------------------------------------------------------------

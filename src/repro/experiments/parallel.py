@@ -12,6 +12,10 @@ seed)`` with the same seeded generator the serial path uses, and results
 travel back via pickle, which round-trips float bits exactly.  A
 parallel campaign therefore produces bit-identical results to a serial
 one (``tests/test_parallel.py`` locks this in).
+
+Jobs of one timing class (:func:`repro.experiments.cache.timing_class`)
+are simulated once: every other member books a relabelled copy of that
+one result under its own key.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ import os
 import signal
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
+from copy import deepcopy
 from dataclasses import dataclass, field
 
 from repro.energy import EnergyModel
@@ -32,6 +38,7 @@ from repro.experiments.cache import (
     ResultStore,
     recording,
     telemetry_artifact_path,
+    timing_class,
 )
 from repro.pipeline import simulate
 from repro.stats import SimulationResult
@@ -44,6 +51,9 @@ def plan_campaign(exp_ids, settings, experiments=None) -> JobRecorder:
     Planning is best-effort: an experiment that fails on placeholder
     results simply contributes no jobs and will simulate serially
     during the real pass.
+
+    The jobs come back grouped by trace, groups in order of first
+    request, so the bounded trace memo builds each trace once.
     """
     from repro.experiments import EXPERIMENTS
     from repro.experiments.runner import Sweep
@@ -56,13 +66,28 @@ def plan_campaign(exp_ids, settings, experiments=None) -> JobRecorder:
                 module.run(sweep=Sweep(settings))
             except Exception:
                 pass
+    traces: dict[tuple, int] = {}
+    for spec in recorder.jobs.values():
+        traces.setdefault((spec.program, spec.trace_ops, spec.seed),
+                          len(traces))
+    recorder.jobs = dict(sorted(
+        recorder.jobs.items(),
+        key=lambda item: traces[(item[1].program, item[1].trace_ops,
+                                 item[1].seed)]))
     return recorder
 
 
-#: Per-worker-process memo of generated traces: several jobs of one
-#: campaign share a (program, length, seed) trace, and regenerating it
-#: costs more than a simulation's margin.
-_TRACE_MEMO: dict[tuple, object] = {}
+#: Per-process memo of generated traces, least recently used first:
+#: several jobs of one campaign share a (program, length, seed) trace,
+#: and regenerating it costs more than a simulation's margin.  Campaign
+#: jobs come program by program, so a few traces cover them; the bound
+#: keeps a long-lived service or cluster worker from pinning a trace
+#: (about 200 bytes per op, so up to ~200 MB at the service's largest
+#: length) for every distinct key it ever served.
+_TRACE_MEMO: OrderedDict[tuple, object] = OrderedDict()
+
+#: Traces the memo keeps: the most one SMT job runs at once.
+_TRACE_MEMO_SIZE = 4
 
 
 def _memo_trace(program: str, trace_ops: int, seed: int):
@@ -71,6 +96,10 @@ def _memo_trace(program: str, trace_ops: int, seed: int):
     if trace is None:
         trace = trace_for_program(program, n_ops=trace_ops, seed=seed)
         _TRACE_MEMO[memo_key] = trace
+        if len(_TRACE_MEMO) > _TRACE_MEMO_SIZE:
+            _TRACE_MEMO.popitem(last=False)
+    else:
+        _TRACE_MEMO.move_to_end(memo_key)
     return trace
 
 
@@ -121,16 +150,31 @@ def _run_job(spec: JobSpec) -> tuple[str, SimulationResult, float]:
     return spec.key, result, time.perf_counter() - started
 
 
+def _relabel(result: SimulationResult, spec: JobSpec) -> SimulationResult:
+    """``result``, simulated for another job of ``spec``'s timing class,
+    as ``spec``'s own: a deep copy carrying ``spec``'s model, its energy
+    annotated for ``spec``'s config."""
+    result = deepcopy(result)
+    result.model = spec.config.model.value
+    EnergyModel().annotate(result, spec.config)
+    return result
+
+
 @dataclass
 class ExecutionReport:
     """What the fan-out did, for the campaign summary line."""
 
     planned: int = 0
     already_cached: int = 0
+    #: simulations run
     executed: int = 0
+    #: jobs booked from another job of their timing class instead of
+    #: simulated
+    shared: int = 0
     workers: int = 1
     busy_seconds: float = 0.0
     wall_seconds: float = 0.0
+    #: simulations run per program
     per_program: dict[str, int] = field(default_factory=dict)
     #: simulator self-time per program (worker wall-clock seconds) —
     #: the campaign-level profiling counterpart of StageProfiler
@@ -158,6 +202,8 @@ class ExecutionReport:
         parts = [f"{self.planned} planned",
                  f"{self.already_cached} cached",
                  f"{self.executed} simulated"]
+        if self.shared:
+            parts.append(f"{self.shared} shared")
         if self.executed:
             parts.append(f"{self.workers} worker"
                          + ("s" if self.workers != 1 else "")
@@ -170,9 +216,14 @@ def execute_campaign(recorder: JobRecorder, store: ResultStore,
     """Fan the recorded jobs out over worker processes into the store.
 
     Jobs whose key already resolves in the store are skipped (this is
-    what makes a warm-cache re-run free).  With ``jobs=1`` everything
-    runs inline — no pool, no pickling — which is also the fallback
-    path platforms without ``fork`` can rely on.
+    what makes a warm-cache re-run free).  Of the rest, one job per
+    timing class (:func:`~repro.experiments.cache.timing_class`) is
+    simulated — none when the class's FIXED job is already stored — and
+    every other member books a relabelled deep copy of that result under
+    its own key.  Each job is stored exactly once; with ``jobs=1``
+    everything runs inline, in recorder order — no pool, no pickling —
+    which is also the fallback path platforms without ``fork`` can rely
+    on.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -190,16 +241,35 @@ def execute_campaign(recorder: JobRecorder, store: ResultStore,
     todo = [spec for spec in recorder.jobs.values()
             if spec.sanitize or not store.contains(spec.key)
             or _artifact_missing(spec)]
+    classes = {spec.key: timing_class(spec) for spec in todo}
+    # class -> the result its members copy, seeded with stored FIXED jobs
+    sources: dict[str, SimulationResult] = {}
+    for cls in dict.fromkeys(classes.values()):
+        if cls is not None and cls not in classes and store.contains(cls):
+            result = store.get(cls)
+            if result is not None:
+                sources[cls] = result
+    leaders = []
+    seen = set(sources)
+    for spec in todo:
+        cls = classes[spec.key]
+        if cls is None or cls not in seen:
+            leaders.append(spec)
+            seen.add(cls)
     report = ExecutionReport(planned=len(recorder.jobs),
                              already_cached=len(recorder.jobs) - len(todo),
-                             executed=len(todo),
-                             workers=max(1, min(jobs, len(todo) or 1)))
+                             executed=len(leaders),
+                             shared=len(todo) - len(leaders),
+                             workers=max(1, min(jobs, len(leaders) or 1)))
     if not todo:
         return report
-    for spec in todo:
+    for spec in leaders:
         report.per_program[spec.program] = (
             report.per_program.get(spec.program, 0) + 1)
     wall_start = time.perf_counter()
+    #: class -> members waiting for its leader's result (pool path)
+    waiting: dict[str, list[JobSpec]] = {}
+
     def _book(spec: JobSpec, key: str, result: SimulationResult,
               busy: float) -> None:
         store.put(key, result)
@@ -210,11 +280,19 @@ def execute_campaign(recorder: JobRecorder, store: ResultStore,
             report.per_program_seconds.get(spec.program, 0.0) + busy)
         if spec.telemetry_period and spec.telemetry_dir is not None:
             report.telemetry_artifacts += 1
+        for member in waiting.pop(classes[spec.key], ()):
+            store.put(member.key, _relabel(result, member))
 
     if report.workers == 1:
         for spec in todo:
+            cls = classes[spec.key]
+            if cls in sources:
+                store.put(spec.key, _relabel(sources[cls], spec))
+                continue
             key, result, busy = _run_job(spec)
             _book(spec, key, result, busy)
+            if cls is not None:
+                sources[cls] = result
     else:
         with deliver_sigterm_as_interrupt():
             pool = ProcessPoolExecutor(max_workers=report.workers)
@@ -222,7 +300,15 @@ def execute_campaign(recorder: JobRecorder, store: ResultStore,
             booked: set = set()
             try:
                 for spec in todo:
-                    futures[pool.submit(_run_job, spec)] = spec
+                    cls = classes[spec.key]
+                    if cls in sources:
+                        store.put(spec.key, _relabel(sources[cls], spec))
+                    elif cls in waiting:
+                        waiting[cls].append(spec)
+                    else:
+                        futures[pool.submit(_run_job, spec)] = spec
+                        if cls is not None:
+                            waiting[cls] = []
                 for future in as_completed(futures):
                     key, result, busy = future.result()
                     _book(futures[future], key, result, busy)

@@ -1,6 +1,6 @@
 """Shared machinery for the experiment harnesses.
 
-A :class:`Sweep` owns the trace and simulation cache for one evaluation
+A :class:`Sweep` owns the simulation cache for one evaluation
 campaign: experiments request ``(program, model)`` results and identical
 requests are simulated only once, so running the whole suite does not
 re-simulate the base processor a dozen times.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.config import (
     ProcessorConfig,
@@ -29,12 +29,10 @@ from repro.config import (
 )
 from repro.core.policies import ResizingPolicy
 import repro.experiments.cache as result_cache
-from repro.energy import EnergyModel
-from repro.pipeline import simulate
+from repro.experiments import parallel
 from repro.stats import SimulationResult, geometric_mean
 from repro.workloads import (
     program_names,
-    trace_for_program,
     MEMORY_INTENSIVE,
     COMPUTE_INTENSIVE,
     SELECTED_MEMORY,
@@ -122,7 +120,7 @@ def render_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 class Sweep:
-    """Trace + simulation cache for one campaign.
+    """Simulation cache for one campaign.
 
     ``store`` (default: the module-wide active store, if one has been
     installed — see :mod:`repro.experiments.cache`) adds an on-disk
@@ -133,24 +131,13 @@ class Sweep:
     def __init__(self, settings: Settings | None = None,
                  store: "result_cache.ResultStore | None" = None) -> None:
         self.settings = settings or Settings()
-        self._traces: dict[str, object] = {}
         self._results: dict[tuple, SimulationResult] = {}
-        self.energy = EnergyModel()
         self.store = store if store is not None else result_cache.active_store()
         #: simulations answered from the store vs. actually executed
         self.cache_hits = 0
         self.sim_runs = 0
         #: telemetry artifacts written by this sweep's serial path
         self.telemetry_artifacts = 0
-
-    def trace(self, program: str):
-        trace = self._traces.get(program)
-        if trace is None:
-            trace = trace_for_program(program,
-                                      n_ops=self.settings.trace_ops,
-                                      seed=self.settings.seed)
-            self._traces[program] = trace
-        return trace
 
     # ------------------------------------------------------------------
 
@@ -164,6 +151,8 @@ class Sweep:
         not just the handful an earlier key happened to enumerate —
         yields a distinct entry.  ``key_extra`` remains for callers
         that vary a policy object in ways they want keyed explicitly.
+        A store miss runs the job the way the campaign fan-out does
+        (:func:`repro.experiments.parallel._run_job`).
         """
         key = (program, config_fingerprint(config),
                result_cache.policy_fingerprint(policy), key_extra)
@@ -171,23 +160,23 @@ class Sweep:
         if result is not None:
             return result
         settings = self.settings
-        skey = result_cache.result_key(
-            program, config, seed=settings.seed, warmup=settings.warmup,
-            measure=settings.measure, trace_ops=settings.trace_ops,
-            policy=policy, key_extra=key_extra)
         store = self.store
-        telemetry_dir = (result_cache.telemetry_dir(store)
-                         if settings.telemetry_period else None)
+        spec = result_cache.JobSpec(
+            key=result_cache.result_key(
+                program, config, seed=settings.seed, warmup=settings.warmup,
+                measure=settings.measure, trace_ops=settings.trace_ops,
+                policy=policy, key_extra=key_extra),
+            program=program, config=config, policy=policy,
+            seed=settings.seed, warmup=settings.warmup,
+            measure=settings.measure, trace_ops=settings.trace_ops,
+            sanitize=settings.sanitize,
+            telemetry_period=settings.telemetry_period,
+            telemetry_dir=(result_cache.telemetry_dir(store)
+                           if settings.telemetry_period else None))
         recorder = result_cache.active_recorder()
         if recorder is not None:
             # Planning pass: record the job, hand back a placeholder.
-            recorder.record(result_cache.JobSpec(
-                key=skey, program=program, config=config, policy=policy,
-                seed=settings.seed, warmup=settings.warmup,
-                measure=settings.measure, trace_ops=settings.trace_ops,
-                sanitize=settings.sanitize,
-                telemetry_period=settings.telemetry_period,
-                telemetry_dir=telemetry_dir))
+            recorder.record(spec)
             result = result_cache.placeholder_result(program, config)
             self._results[key] = result
             return result
@@ -199,35 +188,25 @@ class Sweep:
         # A telemetry campaign may reuse any cached result (sampling is
         # digest-neutral) — but only if the job's artifact already
         # exists; otherwise it re-simulates to produce the recording.
-        artifact = (result_cache.telemetry_artifact_path(telemetry_dir, skey)
-                    if telemetry_dir is not None else None)
+        artifact = (result_cache.telemetry_artifact_path(spec.telemetry_dir,
+                                                         spec.key)
+                    if spec.telemetry_dir is not None else None)
         if (store is not None
-                and (not settings.sanitize or skey in store.sanitized_keys)
+                and (not settings.sanitize or spec.key in store.sanitized_keys)
                 and (artifact is None or os.path.exists(artifact))):
-            result = store.get(skey)
+            result = store.get(spec.key)
             if result is not None:
                 self.cache_hits += 1
                 self._results[key] = result
                 return result
-        probe = None
-        if settings.telemetry_period:
-            from repro.telemetry import TelemetryProbe
-            probe = TelemetryProbe(period=settings.telemetry_period)
-        result = simulate(config, self.trace(program),
-                          warmup=settings.warmup,
-                          measure=settings.measure,
-                          policy=policy,
-                          sanitize=settings.sanitize,
-                          telemetry=probe)
-        self.energy.annotate(result, config)
+        __, result, __ = parallel._run_job(spec)
         self.sim_runs += 1
-        if probe is not None and artifact is not None:
-            probe.telemetry.to_jsonl(artifact)
+        if artifact is not None:
             self.telemetry_artifacts += 1
         if store is not None:
-            store.put(skey, result)
+            store.put(spec.key, result)
             if settings.sanitize:
-                store.sanitized_keys.add(skey)
+                store.sanitized_keys.add(spec.key)
         self._results[key] = result
         return result
 

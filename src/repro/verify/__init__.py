@@ -13,6 +13,9 @@ This package checks cross-run relations that must hold by construction:
 * **fast-forward equivalence** — the idle-cycle fast-forward is a pure
   host-speed optimisation: disabling it must not change any
   timing-observable statistic;
+* **timing equivalence** — jobs the campaign timing class merges (an
+  IDEAL config on a depth-1 level and its FIXED twin) agree on every
+  result and ``SimStats`` field but ``model``;
 * **golden digests** — committed per-benchmark stat fingerprints
   (``results/golden_digests.json``, keyed by ``SIM_VERSION``) catch
   *unintentional* behaviour changes; intentional ones bump the version
@@ -38,6 +41,7 @@ from repro.verify.oracles import (
     check_fast_forward_equivalence,
     check_monotonicity,
     check_pin_equivalence,
+    check_timing_equivalence,
     run_all_oracles,
 )
 
@@ -50,6 +54,7 @@ __all__ = [
     "check_golden",
     "check_monotonicity",
     "check_pin_equivalence",
+    "check_timing_equivalence",
     "compute_digests",
     "diff_payloads",
     "digest_payload",

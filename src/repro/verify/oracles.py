@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.config import (
+    EXTENDED_LEVEL_TABLE,
     LEVEL_TABLE,
     ProcessorConfig,
     dynamic_config,
@@ -24,6 +25,7 @@ from repro.config import (
     ideal_config,
 )
 from repro.core import StaticPolicy, make_policy
+from repro.energy import EnergyModel
 from repro.isa import MicroOp, OpClass
 from repro.pipeline import Processor, simulate
 from repro.verify.digest import diff_payloads, digest_payload, result_digest
@@ -410,15 +412,95 @@ def check_fast_forward_equivalence(programs=SMOKE_CORPUS) -> list[OracleOutcome]
 
 
 # ----------------------------------------------------------------------
+# 5. timing equivalence
+
+
+#: The riscv program the timing-equivalence family adds to its corpus.
+TIMING_RISCV_PROGRAM = "riscv:mixed"
+
+
+#: (label, IDEAL, FIXED) config pairs the campaign timing class is meant
+#: to merge: level 1 of the paper's table and of the extended table
+#: (depth 1 in both), and level 3 of the monotonicity oracle's flat
+#: depth-1 table.
+TIMING_PAIRS: tuple[tuple[str, ProcessorConfig, ProcessorConfig], ...] = (
+    ("ideal1/fixed1", ideal_config(1), fixed_config(1)),
+    ("ideal1/fixed1 extended",
+     replace(ideal_config(1), levels=EXTENDED_LEVEL_TABLE),
+     replace(fixed_config(1), levels=EXTENDED_LEVEL_TABLE)),
+    ("ideal3/fixed3 flat", replace(ideal_config(3), levels=_flat_levels()),
+     replace(fixed_config(3), levels=_flat_levels())),
+)
+
+
+def _fields_but_model(result) -> dict:
+    """Every result and :class:`~repro.stats.SimStats` field of an
+    energy-annotated result, except ``model``."""
+    fields = {name: value for name, value in vars(result).items()
+              if name not in ("model", "stats")}
+    fields.update((f"stats.{name}", value)
+                  for name, value in vars(result.stats).items()
+                  if name != "activity")
+    fields["stats.activity"] = result.stats.activity.as_dict()
+    return fields
+
+
+def check_timing_equivalence(
+        programs=SMOKE_CORPUS + (TIMING_RISCV_PROGRAM,)
+) -> list[OracleOutcome]:
+    """Jobs the campaign timing class merges must be the same machine.
+
+    A campaign simulates one job per
+    :func:`~repro.experiments.cache.timing_class` and books the others
+    as relabelled copies, which is exact only if the merged configs
+    agree on every result and ``SimStats`` field but ``model`` — stall
+    counters, CPI stack and energy included, so this compares more than
+    the digest does.  A pair of :data:`TIMING_PAIRS` the class does not
+    merge is not run.
+    """
+    from repro.experiments.cache import JobSpec, result_key, timing_class
+
+    sizes = dict(seed=SMOKE_SEED, warmup=SMOKE_WARMUP,
+                 measure=SMOKE_MEASURE, trace_ops=SMOKE_TRACE_OPS)
+
+    def job_class(program: str, config: ProcessorConfig) -> str | None:
+        return timing_class(JobSpec(
+            key=result_key(program, config, **sizes), program=program,
+            config=config, policy=None, **sizes))
+
+    outcomes = []
+    energy = EnergyModel()
+    for program in programs:
+        trace = smoke_trace(program)
+        for label, ideal, fixed in TIMING_PAIRS:
+            subject = f"{program} {label}"
+            if job_class(program, ideal) != job_class(program, fixed):
+                outcomes.append(OracleOutcome(
+                    "timing-equivalence", f"{subject} (not merged)", True))
+                continue
+            runs = [_fields_but_model(energy.annotate(
+                        _smoke_run(config, trace), config))
+                    for config in (ideal, fixed)]
+            diffs = [name for name in runs[0]
+                     if runs[0][name] != runs[1][name]]
+            outcomes.append(OracleOutcome(
+                "timing-equivalence", subject, not diffs,
+                "differs in " + ", ".join(diffs[:6]) if diffs else ""))
+    return outcomes
+
+
+# ----------------------------------------------------------------------
 
 
 def run_all_oracles(programs=SMOKE_CORPUS) -> list[OracleOutcome]:
     """The full oracle suite (golden digests are separate: they need a
     committed reference file, see :mod:`repro.verify.golden`).
 
-    ``programs`` scopes the pin-equivalence and fast-forward families;
-    monotonicity keeps its own corpus (see :data:`MONOTONE_PROGRAMS` —
-    the relation is deliberately not asserted on branchy programs).
+    ``programs`` scopes the pin-equivalence, fast-forward and
+    timing-equivalence families (the last adds
+    :data:`TIMING_RISCV_PROGRAM`); monotonicity keeps its own corpus
+    (see :data:`MONOTONE_PROGRAMS` — the relation is deliberately not
+    asserted on branchy programs).
     """
     outcomes = []
     outcomes += check_pin_equivalence(programs)
@@ -430,4 +512,6 @@ def run_all_oracles(programs=SMOKE_CORPUS) -> list[OracleOutcome]:
         tuple(p for p in programs if p in SEEDED_REPLAY_PROGRAMS)
         or SEEDED_REPLAY_PROGRAMS)
     outcomes += check_fast_forward_equivalence(programs)
+    outcomes += check_timing_equivalence(
+        tuple(dict.fromkeys(tuple(programs) + (TIMING_RISCV_PROGRAM,))))
     return outcomes

@@ -15,9 +15,11 @@ import os
 import signal
 import threading
 import time
+from collections import OrderedDict
 
 import pytest
 
+from repro.config import ModelKind
 from repro.experiments import EXPERIMENTS
 from repro.experiments import parallel
 from repro.experiments.cache import JobRecorder, ResultStore, recording
@@ -27,6 +29,7 @@ from repro.experiments.parallel import (
     plan_campaign,
 )
 from repro.experiments.runner import Settings, Sweep
+from repro.verify.digest import digest_payload, result_digest
 
 #: one memory-intensive + one compute-intensive program keeps every
 #: experiment's per-category geometric means well-defined
@@ -59,6 +62,16 @@ class TestPlanning:
         # every key appears once: keys are the dedup
         assert len(set(recorder.jobs)) == len(recorder)
 
+    def test_jobs_are_grouped_by_trace(self):
+        """fig07 and fig12 each walk the programs; the plan brings each
+        program's jobs together so a small trace memo builds every
+        trace once."""
+        recorder = plan_campaign(("fig07", "fig12"), SETTINGS)
+        programs = [spec.program for spec in recorder.jobs.values()]
+        runs = [p for i, p in enumerate(programs)
+                if i == 0 or programs[i - 1] != p]
+        assert runs == list(SETTINGS.programs())
+
     def test_planning_leaves_no_recorder_behind(self):
         from repro.experiments.cache import active_recorder
         plan_campaign(EXP_IDS[:1], SETTINGS)
@@ -80,7 +93,9 @@ class TestParallelDeterminism:
         store = ResultStore(str(tmp_path))
         recorder = plan_campaign(EXP_IDS, SETTINGS)
         report = execute_campaign(recorder, store, jobs=4)
-        assert report.executed == report.planned > 0
+        # one ideal-1 per program rides on its fixed-1 partner
+        assert report.shared == len(SETTINGS.programs())
+        assert report.executed + report.shared == report.planned > 0
 
         series, sweep = _campaign_series(store)
         # every simulation the experiments asked for was pre-planned
@@ -107,6 +122,137 @@ class TestParallelDeterminism:
         assert report.workers == 1
         series, __ = _campaign_series(store)
         assert series == serial_series
+
+
+class _PutLog(ResultStore):
+    """A memory-only store that logs the key of every write."""
+
+    def __init__(self) -> None:
+        super().__init__(None)
+        self.puts: list[str] = []
+
+    def put(self, key, result) -> None:
+        self.puts.append(key)
+        super().put(key, result)
+
+
+def _mutable_ids(value, found=None) -> set[int]:
+    """ids of the mutable containers and objects reachable from
+    ``value`` (immutable values may be shared harmlessly)."""
+    found = set() if found is None else found
+    if isinstance(value, (str, bytes, int, float, type(None))):
+        return found
+    if isinstance(value, tuple):
+        children = list(value)
+    elif id(value) in found:
+        return found
+    else:
+        found.add(id(value))
+        if isinstance(value, dict):
+            children = [*value.keys(), *value.values()]
+        elif isinstance(value, (list, set)):
+            children = list(value)
+        else:
+            slots = getattr(type(value), "__slots__", ())
+            children = [*getattr(value, "__dict__", {}).values(),
+                        *(getattr(value, name) for name in slots)]
+    for child in children:
+        _mutable_ids(child, found)
+    return found
+
+
+class TestTimingClassSharing:
+    """Jobs of one timing class share one simulation, and every job is
+    still stored once under its own key (perfbench derives each job's
+    latency from the order of a serial campaign's store writes)."""
+
+    @staticmethod
+    def _key_of(recorder, program, model, level):
+        return next(spec.key for spec in recorder.jobs.values()
+                    if spec.program == program
+                    and spec.config.model is model
+                    and spec.config.level == level)
+
+    def test_serial_puts_every_job_once_in_recorder_order(self, monkeypatch):
+        ran = []
+
+        def counting_run_job(spec):
+            ran.append(spec)
+            return _REAL_RUN_JOB(spec)
+
+        monkeypatch.setattr(parallel, "_run_job", counting_run_job)
+        recorder = plan_campaign(("fig07",), SETTINGS)
+        store = _PutLog()
+        report = execute_campaign(recorder, store, jobs=1)
+        assert store.puts == list(recorder.jobs)
+        assert report.shared == len(SETTINGS.programs())
+        assert report.executed == len(ran) == report.planned - report.shared
+        assert not any(spec.config.model is ModelKind.IDEAL
+                       and spec.config.level == 1 for spec in ran)
+
+    def test_pool_books_the_same_keys_and_results(self):
+        recorder = plan_campaign(("fig07",), SETTINGS)
+        serial, pool = _PutLog(), _PutLog()
+        execute_campaign(recorder, serial, jobs=1)
+        report = execute_campaign(recorder, pool, jobs=2)
+        assert report.shared == len(SETTINGS.programs())
+        assert sorted(pool.puts) == sorted(recorder.jobs)
+        for key in recorder.jobs:
+            assert (result_digest(pool.get(key))
+                    == result_digest(serial.get(key)))
+
+    def test_shared_member_is_an_independent_relabelled_copy(self):
+        recorder = plan_campaign(("fig07",), SETTINGS)
+        store = ResultStore(None)
+        execute_campaign(recorder, store, jobs=1)
+        fixed = store.get(self._key_of(recorder, "gcc", ModelKind.FIXED, 1))
+        ideal = store.get(self._key_of(recorder, "gcc", ModelKind.IDEAL, 1))
+        assert (fixed.model, ideal.model) == ("fixed", "ideal")
+        assert ideal.energy_nj == fixed.energy_nj > 0
+        fixed_payload, ideal_payload = (digest_payload(fixed),
+                                        digest_payload(ideal))
+        del fixed_payload["model"], ideal_payload["model"]
+        assert ideal_payload == fixed_payload
+        assert ideal.stats is not fixed.stats
+        assert not _mutable_ids(ideal) & _mutable_ids(fixed)
+
+    def test_stored_fixed_job_spares_the_ideal_simulation(self):
+        recorder = plan_campaign(("fig07",), SETTINGS)
+        store = ResultStore(None)
+        fixed_only = JobRecorder()
+        for spec in recorder.jobs.values():
+            if spec.config.model is ModelKind.FIXED \
+                    and spec.config.level == 1:
+                fixed_only.record(spec)
+        execute_campaign(fixed_only, store, jobs=1)
+        report = execute_campaign(recorder, store, jobs=1)
+        assert report.already_cached == len(SETTINGS.programs())
+        assert report.shared == len(SETTINGS.programs())
+        assert report.executed == (report.planned - report.already_cached
+                                   - report.shared)
+
+
+class TestTraceMemo:
+    def test_least_recently_used_trace_is_evicted(self, monkeypatch):
+        built = []
+
+        def fake_trace(program, n_ops, seed):
+            built.append(program)
+            return object()
+
+        monkeypatch.setattr(parallel, "trace_for_program", fake_trace)
+        monkeypatch.setattr(parallel, "_TRACE_MEMO", OrderedDict())
+        names = [f"p{i}" for i in range(parallel._TRACE_MEMO_SIZE)]
+        traces = {name: parallel._memo_trace(name, 100, 1) for name in names}
+        assert parallel._TRACE_MEMO_SIZE >= 4   # one 4-thread SMT job
+        # a hit refreshes p0, so the extra key evicts p1 instead
+        assert parallel._memo_trace("p0", 100, 1) is traces["p0"]
+        parallel._memo_trace("extra", 100, 1)
+        assert len(parallel._TRACE_MEMO) == parallel._TRACE_MEMO_SIZE
+        assert parallel._memo_trace("p0", 100, 1) is traces["p0"]
+        assert built == names + ["extra"]
+        assert parallel._memo_trace("p1", 100, 1) is not traces["p1"]
+        assert built[-1] == "p1"
 
 
 #: module-level (hence picklable) fault injections: with the fork start
@@ -158,7 +304,8 @@ class TestInterruptedCampaign:
         resumed = execute_campaign(plan_campaign(EXP_IDS, SETTINGS),
                                    ResultStore(str(tmp_path)), jobs=2)
         assert resumed.already_cached == len(survivors)
-        assert resumed.executed == resumed.planned - len(survivors)
+        assert (resumed.executed + resumed.shared
+                == resumed.planned - len(survivors))
 
     def test_interrupt_unwinds_the_same_way(self, tmp_path, monkeypatch):
         recorder, store = self._interrupted_run(

@@ -17,10 +17,25 @@ import pickle
 
 import pytest
 
-from repro.config import base_config, dynamic_config, config_fingerprint
+from repro.config import (
+    EXTENDED_LEVEL_TABLE,
+    base_config,
+    config_fingerprint,
+    dynamic_config,
+    fixed_config,
+    ideal_config,
+    runahead_config,
+    smt_config,
+)
 from repro.core.policies import OccupancyPolicy, StaticPolicy
 from repro.experiments import cache as result_cache
-from repro.experiments.cache import ResultStore, policy_fingerprint, result_key
+from repro.experiments.cache import (
+    JobSpec,
+    ResultStore,
+    policy_fingerprint,
+    result_key,
+    timing_class,
+)
 from repro.experiments.runner import Settings, Sweep
 from repro.pipeline import simulate
 from repro.workloads import generate_trace, profile
@@ -451,6 +466,55 @@ class TestSweepStoreIntegration:
         finally:
             result_cache.set_active_store(None)
         assert Sweep(self.SETTINGS).store is None
+
+
+def _spec(config, **options):
+    sizes = dict(seed=1, warmup=1_000, measure=2_000, trace_ops=4_000)
+    policy = options.pop("policy", None)
+    return JobSpec(key=result_key("gcc", config, policy=policy, **sizes),
+                   program="gcc", config=config, policy=policy,
+                   **sizes, **options)
+
+
+class TestTimingClass:
+    """Which campaign jobs share one simulation.  The merges themselves
+    are checked by the ``timing-equivalence`` oracle; these pin which
+    jobs merge and which stay apart."""
+
+    def test_depth_free_ideal_is_the_fixed_machine(self):
+        fixed = _spec(fixed_config(1))
+        assert timing_class(fixed) == fixed.key
+        assert timing_class(_spec(ideal_config(1))) == fixed.key
+        extended = dataclasses.replace(fixed_config(1),
+                                       levels=EXTENDED_LEVEL_TABLE)
+        assert (timing_class(_spec(dataclasses.replace(
+                    ideal_config(1), levels=EXTENDED_LEVEL_TABLE)))
+                == _spec(extended).key)
+
+    def test_pipelined_level_keeps_ideal_apart(self):
+        ideal = _spec(ideal_config(2))
+        assert timing_class(ideal) == ideal.key
+        assert timing_class(ideal) != timing_class(_spec(fixed_config(2)))
+
+    @pytest.mark.parametrize("config", [dynamic_config(3), dynamic_config(1),
+                                        runahead_config()],
+                             ids=["dynamic-3", "dynamic-1", "runahead"])
+    def test_other_models_are_their_own_class(self, config):
+        spec = _spec(config)
+        assert timing_class(spec) == spec.key
+        assert timing_class(spec) != timing_class(_spec(fixed_config(1)))
+
+    @pytest.mark.parametrize("options", [
+        dict(policy=StaticPolicy(1)), dict(sanitize=True),
+        dict(telemetry_period=64), dict(fast_forward=False),
+    ], ids=["policy", "sanitize", "telemetry", "no-fast-forward"])
+    def test_run_options_never_share(self, options):
+        assert timing_class(_spec(ideal_config(1), **options)) is None
+        assert timing_class(_spec(fixed_config(1), **options)) is None
+
+    def test_smt_never_shares(self):
+        config = smt_config(threads=1, partition="equal", level=1)
+        assert timing_class(_spec(config)) is None
 
 
 class TestConfigFingerprint:

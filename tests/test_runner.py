@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import base_config, fixed_config
+from repro.experiments.parallel import _memo_trace
 from repro.experiments.runner import (
     Settings,
     Sweep,
@@ -47,7 +48,9 @@ class TestSweepCache:
                               measure=2000))
 
     def test_traces_cached(self, sweep):
-        assert sweep.trace("gcc") is sweep.trace("gcc")
+        settings = sweep.settings
+        assert (_memo_trace("gcc", settings.trace_ops, settings.seed)
+                is _memo_trace("gcc", settings.trace_ops, settings.seed))
 
     def test_results_cached_by_config(self, sweep):
         a = sweep.run("gcc", base_config())

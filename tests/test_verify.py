@@ -24,7 +24,8 @@ from repro.verify import (
 )
 from repro.verify.golden import check_golden, write_golden
 from repro.verify.oracles import (
-    ADAPTIVE_POLICIES, report, smoke_trace, _smoke_run)
+    ADAPTIVE_POLICIES, check_timing_equivalence, report, smoke_trace,
+    _smoke_run)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,14 @@ class TestMonotonicityOracle:
 class TestFastForwardOracle:
     def test_gcc(self):
         outcomes = check_fast_forward_equivalence(programs=("gcc",))
+        assert all(o.passed for o in outcomes), report(outcomes)
+
+
+class TestTimingEquivalenceOracle:
+    def test_gcc_every_pair_merged_and_identical(self):
+        outcomes = check_timing_equivalence(programs=("gcc",))
+        assert len(outcomes) == 3
+        assert not any("not merged" in o.subject for o in outcomes)
         assert all(o.passed for o in outcomes), report(outcomes)
 
 
