@@ -1,7 +1,7 @@
-"""Watch the window breathe: a live timeline of level, IPC and misses.
+"""Watch the window breathe: a timeline of level, IPC and misses.
 
-Records a windowed time-series of one dynamic-resizing run and renders
-it as ASCII sparklines — the Figure 6 story on a real workload: miss
+Samples one dynamic-resizing run with a telemetry probe and renders it
+as ASCII sparklines — the Figure 6 story on a real workload: miss
 clusters pull the window up, quiet stretches let it fall back.
 
 Run:  python examples/timeline.py [program]
@@ -10,32 +10,27 @@ Run:  python examples/timeline.py [program]
 import sys
 
 from repro import dynamic_config, generate_trace, profile
-from repro.pipeline import Processor
-from repro.stats import record_timeline, sparkline
+from repro.pipeline import simulate
+from repro.telemetry import TelemetryProbe
+from repro.telemetry.report import render_level_timeline
 
 
 def main() -> None:
     program = sys.argv[1] if len(sys.argv) > 1 else "omnetpp"
     trace = generate_trace(profile(program), n_ops=24_000, seed=1)
-    proc = Processor(dynamic_config(3), trace)
-    proc.prewarm()
-    proc.run(until_committed=4_000)
-    proc.reset_measurement()
+    probe = TelemetryProbe(period=400)
+    result = simulate(dynamic_config(3), trace, warmup=4_000,
+                      measure=19_000, telemetry=probe)
+    tel = probe.telemetry
 
-    timeline = record_timeline(proc, until_committed=23_000,
-                               window_cycles=400)
+    print(f"=== {program} ===")
+    print(render_level_timeline(tel))
 
-    print(f"=== {program}: {len(timeline)} windows x "
-          f"{timeline.window_cycles} cycles ===")
-    print(f"level (1-3) : {sparkline(timeline.levels(), max_value=3)}")
-    print(f"IPC         : {sparkline(timeline.ipcs())}")
-    print(f"L2 misses   : {sparkline(timeline.miss_counts())}")
-
-    levels = timeline.levels()
+    levels = tel.levels()
     for lvl in (1, 2, 3):
         share = levels.count(lvl) / len(levels)
         print(f"  level {lvl}: {share:6.1%} of windows")
-    stats = proc.stats
+    stats = result.stats
     print(f"  transitions: {stats.enlarge_transitions} up / "
           f"{stats.shrink_transitions} down")
 

@@ -57,10 +57,10 @@ class MLPAwarePolicy(ResizingPolicy):
 
     Observability: the policy itself carries only the ``enlarges`` /
     ``shrinks`` totals.  Per-event timelines come from the telemetry
-    layer, which observes the applied transitions at
-    ``Processor._apply_level`` (``grow``/``shrink`` events) and the
-    trigger stream via the hierarchy's L2-miss listener — nothing here
-    needs instrumenting (see ``docs/observability.md``).
+    layer, which observes the applied transitions on the processor's
+    ``on_level`` hook (``grow``/``shrink`` events) and the trigger
+    stream via the hierarchy's L2-miss listener — nothing here needs
+    instrumenting (see ``docs/observability.md``).
     """
 
     def __init__(self, max_level: int, memory_latency: int,

@@ -2,13 +2,12 @@
 
 The debug layer is strictly opt-in: :class:`~repro.pipeline.core.
 Processor` resolves the ``sanitize`` flag once at construction, and with
-the flag off nothing from this package is even imported — the release
-simulation path carries no per-cycle debug branches.
+the flag off nothing from this package is even imported — the
+processor's observer hook lists stay empty.
 
-With the flag on, a :class:`Sanitizer` instruments the processor by
-shadowing a handful of its bound methods with instance attributes
-(``proc.step_cycle``, ``proc._apply_level``, ``proc._schedule``); the
-wrappers run the original and then verify the machine.  Checked every
+With the flag on, a :class:`Sanitizer` registers on two of those
+hooks: ``on_step`` verifies the machine at the end of every evaluated
+cycle and ``on_level`` judges each level transition.  Checked every
 cycle:
 
 * occupancy bounds — ``0 <= occupancy <= capacity <= max_capacity``
@@ -24,7 +23,8 @@ cycle:
 * ROB program order and in-order commit;
 * policy-timer liveness — a ``next_timer()`` value in the past must
   not survive a tick (stale-timer guard);
-* event sanity — nothing is ever scheduled in the past.
+* event sanity — nothing is ever scheduled in the past (no event
+  older than the current cycle is left in the heap).
 
 At every level shrink, exact physical-slot trackers
 (:mod:`repro.debug.slots`) additionally quantify how often the model's

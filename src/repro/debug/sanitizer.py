@@ -1,11 +1,10 @@
 """The invariant sanitizer (see the package docstring for the list).
 
-Instrumentation works by *bound-method shadowing*: the sanitizer stores
-wrappers as instance attributes of the processor (``proc.step_cycle``,
-``proc._apply_level``, ``proc._schedule``), which Python resolves ahead
-of the class methods.  The release path is untouched — a processor
-built with ``sanitize=False`` never takes a debug branch, and the
-wrapped one pays only at cycle granularity, never inside the stages.
+The sanitizer registers on two of the processor's observer hooks:
+``on_step`` runs the per-cycle checks at the end of every evaluated
+cycle and ``on_level`` judges each level transition.  A processor built
+with ``sanitize=False`` has empty hook lists, and a sanitized one pays
+only at cycle granularity, never inside the stages.
 
 Checks never mutate simulation state: MSHR occupancy is observed with
 the non-reaping :meth:`~repro.memory.mshr.MSHRFile.in_flight`, window
@@ -53,46 +52,8 @@ class Sanitizer:
         self._last_dispatch_stalls = 0
         self._last_stop_alloc = 0
         self._stale_timer: int | None = None
-        self._install()
-
-    # ------------------------------------------------------------------
-    # instrumentation
-
-    def _install(self) -> None:
-        proc = self.proc
-
-        orig_step = proc.step_cycle
-
-        def step_cycle() -> int:
-            delta = orig_step()
-            self._check_cycle()
-            return delta
-
-        proc.step_cycle = step_cycle
-
-        orig_apply = proc._apply_level
-
-        def apply_level(new_level: int) -> None:
-            shrink = new_level < proc.level
-            if shrink:
-                # fold in this cycle's commits/issues before judging
-                # the vacated region (commit ran earlier this cycle)
-                self._sync_trackers()
-            orig_apply(new_level)
-            self._on_level_transition(new_level, shrink)
-
-        proc._apply_level = apply_level
-
-        orig_schedule = proc._schedule
-
-        def schedule(cycle: int, kind: int, payload: object) -> None:
-            self.checks["event_schedule"] += 1
-            if cycle < proc.cycle:
-                self._fail(f"event kind {kind} scheduled in the past: "
-                           f"{cycle} < {proc.cycle}")
-            orig_schedule(cycle, kind, payload)
-
-        proc._schedule = schedule
+        proc.on_step.append(self._check_cycle)
+        proc.on_level.append(self._on_level)
 
     # ------------------------------------------------------------------
     # per-cycle verification
@@ -153,6 +114,14 @@ class Sanitizer:
             if live > mshr.entries:
                 self._fail(f"{mshr.name}: {live} fills in flight exceeds "
                            f"{mshr.entries} entries")
+        # _process_events popped every event due by now, and the idle
+        # jump never passes the heap head: an older event left in the
+        # heap can only have been scheduled in the past
+        checks["event_schedule"] += 1
+        events = proc._events
+        if events and events[0][0] < now:
+            self._fail(f"event kind {events[0][2]} scheduled in the past: "
+                       f"{events[0][0]} < {now}")
         # a next_timer() value in the past must not survive a tick: the
         # policy either consumes it (pending miss, shrink retry) or it
         # is stale and the fast-forward logic would never fire it again
@@ -231,8 +200,14 @@ class Sanitizer:
             self.events.emit(proc.cycle, "stall", -1,
                              "stop_alloc: draining for shrink")
 
-    def _on_level_transition(self, new_level: int, shrink: bool) -> None:
+    def _on_level(self, old_level: int, new_level: int) -> None:
         proc = self.proc
+        shrink = new_level < old_level
+        if shrink:
+            # fold in this cycle's commits/issues before judging the
+            # vacated region; exact after the resize, because the
+            # trackers never read window capacity
+            self._sync_trackers()
         cfg = proc.config.level_config(new_level)
         straddle = (self.rob_slots.resize(cfg.rob_entries)
                     + self.iq_slots.resize(cfg.iq_entries)

@@ -176,8 +176,7 @@ class ExecutionReport:
     wall_seconds: float = 0.0
     #: simulations run per program
     per_program: dict[str, int] = field(default_factory=dict)
-    #: simulator self-time per program (worker wall-clock seconds) —
-    #: the campaign-level profiling counterpart of StageProfiler
+    #: simulator self-time per program (worker wall-clock seconds)
     per_program_seconds: dict[str, float] = field(default_factory=dict)
     #: telemetry artifacts written by the fan-out this run
     telemetry_artifacts: int = 0

@@ -214,9 +214,9 @@ class Processor:
         between cores (see :mod:`repro.multicore`).
 
         ``sanitize`` attaches the :mod:`repro.debug` invariant sanitizer
-        and cycle-event trace.  The flag is resolved here, once: when it
-        is False nothing is installed and the per-cycle paths carry no
-        debug branches at all."""
+        and cycle-event trace, which register on the observer hooks
+        below.  The flag is resolved here, once: when it is False the
+        hook lists stay empty."""
         self.config = config
         self.hierarchy = hierarchy or MemoryHierarchy(config)
         self.ideal = config.model is ModelKind.IDEAL
@@ -283,13 +283,18 @@ class Processor:
         #: not to whatever stalled commit before the jump.
         self._ff_timer_jump = False
 
-        #: optional PipelineTracer recording per-op lifecycles
-        self.tracer = None
-        #: optional telemetry probe (set by TelemetryProbe.attach).  Like
-        #: ``debug``, this stays None on a plain run and no per-cycle code
-        #: consults it — the probe installs itself by shadowing bound
-        #: methods, so telemetry-off costs nothing (repro.telemetry).
-        self.telemetry = None
+        #: observer hooks, lists of plain callables that stay empty on
+        #: a plain run: ``on_step()`` at the end of every evaluated
+        #: cycle (the draining one included), before the clock moves;
+        #: ``on_advance()`` after the clock moves; ``on_level(old, new)``
+        #: after a level transition; ``on_commit(op, cycle)`` per
+        #: retired op.  They fire inside step_cycle and advance, so a
+        #: scheduler that calls those directly (repro.multicore) fires
+        #: them too.
+        self.on_step: list = []
+        self.on_advance: list = []
+        self.on_level: list = []
+        self.on_commit: list = []
         #: fast-forward over provably idle cycles (disable to validate
         #: that the optimisation never changes observable timing)
         self.fast_forward = True
@@ -298,9 +303,8 @@ class Processor:
         if config.model is ModelKind.RUNAHEAD:
             from repro.runahead import RunaheadEngine
             self.runahead = RunaheadEngine(self)
-        #: optional debug harness (invariant sanitizer + event trace).
-        #: Resolved once, here: with ``sanitize=False`` this stays None
-        #: and no per-cycle code ever consults it.
+        #: optional debug harness (invariant sanitizer + event trace),
+        #: resolved once, here: with ``sanitize=False`` this stays None.
         self.debug = None
         if sanitize:
             from repro.debug import Sanitizer
@@ -328,12 +332,6 @@ class Processor:
         self._cap_vec = (window.iq.capacity, window.rob.capacity,
                          window.lsq.capacity, window.iq.max_capacity,
                          window.rob.max_capacity, window.lsq.max_capacity)
-
-    def _apply_level(self, new_level: int) -> None:
-        self.level = new_level
-        self.window.resize_to(new_level)
-        self._refresh_capacity_cache()
-        self._change_level(self.thread, new_level)
 
     def _change_level(self, thread: Thread, new_level: int) -> None:
         """Move ``thread`` to ``new_level``: count the transition, give
@@ -494,7 +492,7 @@ class Processor:
         in_runahead = engine is not None and engine.active
         now = self.cycle
         stats = thread.stats
-        tracer = self.tracer
+        on_commit = self.on_commit
         # the commit totals are added once per call; committed_uops is
         # also brought up to date before each committed mispredict,
         # whose Table 5 distance reads it
@@ -522,8 +520,9 @@ class Processor:
             release(0, uop.is_mem)
             committed += 1
             retired += 1
-            if tracer is not None:
-                tracer.on_commit(op, now)
+            if on_commit:
+                for hook in on_commit:
+                    hook(op, now)
             if uop.is_load:
                 loads += 1
             elif uop.is_store:
@@ -886,8 +885,15 @@ class Processor:
             self._stop_alloc = True
             self.stats.stop_alloc_cycles += 1
             acted = True
-        if decision.new_level is not None and decision.new_level != self.level:
-            self._apply_level(decision.new_level)
+        new_level = decision.new_level
+        if new_level is not None and new_level != self.level:
+            old_level = self.level
+            self.level = new_level
+            self.window.resize_to(new_level)
+            self._refresh_capacity_cache()
+            self._change_level(self.thread, new_level)
+            for hook in self.on_level:
+                hook(old_level, new_level)
             acted = True
         return acted
 
@@ -944,14 +950,19 @@ class Processor:
         progress += self._dispatch_stage()
         progress += self._fetch_stage()
         if self._trace_done():
-            return 0
-        if progress == 0 and not self._ready:
+            delta = 0
+        elif progress == 0 and not self._ready:
             jump = self._next_interesting_cycle()
             if jump is None:
                 raise DeadlockError(self._deadlock_report(
                     "no events, no timers, nothing in flight"))
-            return max(1, jump - self.cycle) if self.fast_forward else 1
-        return 1
+            delta = max(1, jump - self.cycle) if self.fast_forward else 1
+        else:
+            delta = 1
+        if self.on_step:
+            for hook in self.on_step:
+                hook()
+        return delta
 
     def _deadlock_report(self, headline: str) -> str:
         """Diagnostic dump raised with a :class:`DeadlockError`.
@@ -999,6 +1010,9 @@ class Processor:
         """Account ``delta`` cycles and move the clock."""
         self._advance_accounting(delta)
         self.cycle += delta
+        if self.on_advance:
+            for hook in self.on_advance:
+                hook()
 
     def run(self, until_committed: int, max_cycles: int | None = None) -> None:
         """Advance until ``committed_total`` reaches ``until_committed``,

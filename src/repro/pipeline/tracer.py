@@ -63,10 +63,10 @@ class PipelineTracer:
             raise ValueError("capacity must be >= 1")
         self.records: deque[OpRecord] = deque(maxlen=capacity)
         self.total_committed = 0
-        processor.tracer = self
+        processor.on_commit.append(self.on_commit)
 
-    # called by Processor._commit_stage for each retired op
     def on_commit(self, op, cycle: int) -> None:
+        """The processor's ``on_commit`` hook: record one retired op."""
         self.total_committed += 1
         uop = op.uop
         self.records.append(OpRecord(

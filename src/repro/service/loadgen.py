@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.service.client import QueueFull, ServiceClient, ServiceError
-from repro.telemetry.profiler import LatencyReservoir
+from repro.telemetry.reservoir import LatencyReservoir
 from repro.workloads import known_program
 
 #: default program pool: a memory-bound / compute-bound mix, plus one

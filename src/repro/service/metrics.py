@@ -2,7 +2,7 @@
 
 Rendered in the Prometheus text exposition format by ``GET /metrics``.
 Latency distributions ride on the telemetry layer's
-:class:`~repro.telemetry.profiler.LatencyReservoir` — the same
+:class:`~repro.telemetry.reservoir.LatencyReservoir` — the same
 reservoir the load generator uses for its report, so a scrape of the
 server and the client-side report speak the same percentiles.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 
-from repro.telemetry.profiler import LatencyReservoir
+from repro.telemetry.reservoir import LatencyReservoir
 
 #: Pipeline of a job through the service, each with its own latency
 #: distribution: request validation, time spent queued, execution

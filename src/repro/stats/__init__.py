@@ -11,12 +11,7 @@ the energy model (Fig 9 / Table 4), and the L2 line-usage breakdown
 from repro.stats.counters import SimStats, ActivityCounters
 from repro.stats.histograms import IntervalHistogram, mlp_from_intervals
 from repro.stats.report import SimulationResult, geometric_mean
-from repro.stats.timeline import (
-    Timeline,
-    TimelineSampler,
-    record_timeline,
-    sparkline,
-)
+from repro.stats.sparkline import sparkline
 
 __all__ = [
     "SimStats",
@@ -25,8 +20,5 @@ __all__ = [
     "mlp_from_intervals",
     "SimulationResult",
     "geometric_mean",
-    "Timeline",
-    "TimelineSampler",
-    "record_timeline",
     "sparkline",
 ]

@@ -14,10 +14,10 @@ demand L2-miss detections), exportable as JSONL/CSV and rendered by
 
 Two invariants define the layer, and the test suite enforces both:
 
-* **Zero cost when off.**  Probes install by bound-method shadowing
-  (instance attributes over class methods), the same trick as
-  :mod:`repro.debug`: an unprobed processor executes the original
-  methods with no telemetry branch on any per-cycle path.
+* **Cheap when off.**  A probe registers on the processor's observer
+  hooks (``on_advance``, ``on_level``) and the hierarchy's L2-miss
+  listener list, like :mod:`repro.debug`: an unprobed processor pays
+  one empty-list check per advance.
 * **Digest neutrality.**  Sampling performs only pure reads — never a
   recording observation — so a probed run's canonical stat digest
   (:func:`repro.verify.digest.result_digest`) is bit-identical to an
@@ -28,12 +28,12 @@ Two invariants define the layer, and the test suite enforces both:
 Entry points: ``simulate(..., telemetry=TelemetryProbe(...))`` for one
 run; ``python -m repro.experiments --telemetry [PERIOD]`` for per-job
 artifacts under ``.simcache/telemetry/``; ``python -m repro.telemetry``
-to run and render a single instrumented simulation (``--profile`` adds
-per-stage host self-time via :class:`StageProfiler`).
+to run and render a single instrumented simulation.  Host time per
+pipeline stage comes from cProfile, because the stages are methods:
+``python -m cProfile -s tottime -m repro.telemetry run``.
 """
 
 from repro.telemetry.probe import TelemetryProbe
-from repro.telemetry.profiler import LatencyReservoir, StageProfiler
 from repro.telemetry.recorder import (
     EVENT_KINDS,
     STALL_REASONS,
@@ -47,6 +47,7 @@ from repro.telemetry.report import (
     grow_miss_coincidence,
     render_report,
 )
+from repro.telemetry.reservoir import LatencyReservoir
 
 __all__ = [
     "EVENT_KINDS",
@@ -54,7 +55,6 @@ __all__ = [
     "IntervalSample",
     "LatencyReservoir",
     "PolicyEvent",
-    "StageProfiler",
     "Telemetry",
     "TelemetryProbe",
     "grow_miss_coincidence",

@@ -4,15 +4,16 @@ Usage::
 
     python -m repro.telemetry                          # default run
     python -m repro.telemetry run --program libquantum --model dynamic \\
-        --period 64 --out /tmp/lq.jsonl --csv /tmp/lq --profile
+        --period 64 --out /tmp/lq.jsonl --csv /tmp/lq
     python -m repro.telemetry report .simcache/telemetry/<key>.jsonl
     python -m repro.telemetry smoke                    # CI self-check
 
 ``run`` simulates one program with a telemetry probe attached and
 prints the level timeline, occupancy heat summary and interval CPI
-stack (optionally exporting JSONL/CSV artifacts and, with
-``--profile``, per-stage host self-time).  ``report`` renders an
-existing JSONL artifact — e.g. one the campaign executor wrote under
+stack (optionally exporting JSONL/CSV artifacts); run it under
+``python -m cProfile -s tottime -m repro.telemetry run ...`` for host
+time per pipeline stage.  ``report`` renders an existing JSONL
+artifact — e.g. one the campaign executor wrote under
 ``.simcache/telemetry/`` via ``python -m repro.experiments
 --telemetry``.  ``smoke`` is the CI gate: it asserts digest neutrality
 (telemetry on/off bit-identical), grow↔miss coincidence on a
@@ -57,8 +58,7 @@ def _instrumented_run(args) -> TelemetryProbe:
     trace = trace_for_program(args.program,
                               n_ops=args.warmup + args.measure + 1_000,
                               seed=args.seed)
-    probe = TelemetryProbe(period=args.period,
-                           profile=getattr(args, "profile", False))
+    probe = TelemetryProbe(period=args.period)
     simulate(config, trace, warmup=args.warmup, measure=args.measure,
              telemetry=probe)
     return probe
@@ -73,9 +73,6 @@ def _cmd_run(args) -> int:
     if args.csv:
         print(f"wrote CSV tables: {tel.samples_csv(args.csv + '.samples.csv')}"
               f", {tel.events_csv(args.csv + '.events.csv')}")
-    if probe.profiler is not None:
-        print()
-        print(probe.profiler.render())
     return 0
 
 
@@ -177,8 +174,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--csv", default="",
                        help="also write <PREFIX>.samples.csv and "
                             "<PREFIX>.events.csv")
-    run_p.add_argument("--profile", action="store_true",
-                       help="measure per-stage host self-time")
     run_p.set_defaults(func=_cmd_run)
 
     report_p = subs.add_parser("report",

@@ -1,13 +1,10 @@
 """The sampling probe: attaches telemetry to a running processor.
 
-Zero cost when off
-    A probe is installed by *bound-method shadowing*, exactly like the
-    :mod:`repro.debug` sanitizer: wrapper functions are assigned as
-    instance attributes (``proc.advance``, ``proc._apply_level``), which
-    Python resolves before the class methods.  A processor without a
-    probe attached runs the original methods with no telemetry branch
-    anywhere on the per-cycle path — ``proc.telemetry`` stays ``None``
-    and is never consulted by pipeline code.
+Cheap when off
+    A probe registers on two of the processor's observer hooks, like
+    the :mod:`repro.debug` sanitizer: ``on_advance`` samples after the
+    clock moves and ``on_level`` records transitions.  A processor
+    without a probe attached pays one empty-list check per advance.
 
 Digest neutrality
     Sampling only performs *pure* reads: window occupancies/capacities,
@@ -55,24 +52,14 @@ class TelemetryProbe:
     the attached policy is a learned controller exposing a ``listener``
     hook (:class:`repro.core.BanditWindowPolicy`) — every arm
     selection (``pull``) and per-window score (``reward``).
-
-    ``profile=True`` additionally attaches a
-    :class:`~repro.telemetry.profiler.StageProfiler` measuring host
-    wall-clock self-time per pipeline stage (host-side only; simulated
-    timing is unaffected either way).
     """
 
     def __init__(self, period: int = 256, capacity: int = 4096,
-                 event_capacity: int = 8192, profile: bool = False) -> None:
+                 event_capacity: int = 8192) -> None:
         self.period = period
         self.telemetry = Telemetry(period=period, capacity=capacity,
                                    event_capacity=event_capacity)
-        self.profiler = None
-        if profile:
-            from repro.telemetry.profiler import StageProfiler
-            self.profiler = StageProfiler()
         self.proc = None
-        self._saved: list[tuple[str, bool, object]] = []
         self._detached = False
         self._was_draining = False
         self._listener_policy = None
@@ -80,23 +67,13 @@ class TelemetryProbe:
     # ------------------------------------------------------------------
     # attach / detach
 
-    def _shadow(self, name: str, wrapper) -> None:
-        """Install ``wrapper`` as an instance attribute, remembering what
-        (if anything) was shadowed so :meth:`detach` can restore it —
-        including a sanitizer wrapper installed before us."""
-        proc = self.proc
-        had = name in proc.__dict__
-        self._saved.append((name, had, proc.__dict__.get(name)))
-        setattr(proc, name, wrapper)
-
     def attach(self, proc) -> "TelemetryProbe":
-        """Install the probe on ``proc``; sampling starts at the current
-        cycle (attach at the warmup/measurement boundary to cover
-        exactly the measured region)."""
+        """Register the probe on ``proc``; sampling starts at the
+        current cycle (attach at the warmup/measurement boundary to
+        cover exactly the measured region)."""
         if self.proc is not None:
             raise RuntimeError("probe is already attached")
         self.proc = proc
-        proc.telemetry = self
         tel = self.telemetry
         from repro.pipeline.core import SIM_VERSION
         tel.meta.update({
@@ -110,38 +87,8 @@ class TelemetryProbe:
         self._prev_edge = proc.cycle
         self._next_edge = proc.cycle + self.period
         self._take_baseline()
-
-        period = self.period
-        orig_advance = proc.advance
-
-        def advance(delta: int) -> None:
-            orig_advance(delta)
-            if proc.cycle >= self._next_edge:
-                self._cross_edges()
-            # stall-to-drain onset: the controller wants to shrink but
-            # the region to vacate is still occupied (_policy_stage set
-            # _stop_alloc this cycle)
-            if proc._stop_alloc:
-                if not self._was_draining:
-                    self._was_draining = True
-                    tel.add_event(PolicyEvent(proc.cycle, "drain",
-                                              proc.level, "stop_alloc"))
-            elif self._was_draining:
-                self._was_draining = False
-
-        self._shadow("advance", advance)
-
-        orig_apply = proc._apply_level
-
-        def _apply_level(new_level: int) -> None:
-            old = proc.level
-            orig_apply(new_level)
-            kind = "grow" if new_level > old else "shrink"
-            tel.add_event(PolicyEvent(proc.cycle, kind, new_level,
-                                      f"{old}->{new_level}"))
-
-        self._shadow("_apply_level", _apply_level)
-
+        proc.on_advance.append(self._on_advance)
+        proc.on_level.append(self._on_level)
         proc.hierarchy.add_l2_miss_listener(self._on_l2_miss)
         # learned controllers expose a per-decision observer hook: every
         # arm selection ("pull") and per-window score ("reward") becomes
@@ -151,39 +98,47 @@ class TelemetryProbe:
         if hasattr(policy, "listener"):
             self._listener_policy = policy
             policy.listener = self._on_policy_event
-        if self.profiler is not None:
-            self.profiler.attach(proc)
         return self
 
     def detach(self) -> None:
-        """Remove the probe's wrappers, restoring whatever they
-        shadowed.  The L2-miss listener cannot be unregistered from the
-        hierarchy, so it goes inert instead."""
+        """Unregister everything :meth:`attach` registered."""
         proc = self.proc
         if proc is None or self._detached:
             return
-        for name, had, prev in reversed(self._saved):
-            if had:
-                setattr(proc, name, prev)
-            else:
-                del proc.__dict__[name]
-        self._saved.clear()
+        proc.on_advance.remove(self._on_advance)
+        proc.on_level.remove(self._on_level)
+        proc.hierarchy.l2_miss_listeners.remove(self._on_l2_miss)
         if self._listener_policy is not None:
             self._listener_policy.listener = None
             self._listener_policy = None
-        proc.telemetry = None
         self._detached = True
 
+    def _on_advance(self) -> None:
+        proc = self.proc
+        if proc.cycle >= self._next_edge:
+            self._cross_edges()
+        # stall-to-drain onset: the controller wants to shrink but the
+        # region to vacate is still occupied (_policy_stage set
+        # _stop_alloc this cycle)
+        if proc._stop_alloc:
+            if not self._was_draining:
+                self._was_draining = True
+                self.telemetry.add_event(PolicyEvent(
+                    proc.cycle, "drain", proc.level, "stop_alloc"))
+        elif self._was_draining:
+            self._was_draining = False
+
+    def _on_level(self, old_level: int, new_level: int) -> None:
+        kind = "grow" if new_level > old_level else "shrink"
+        self.telemetry.add_event(PolicyEvent(
+            self.proc.cycle, kind, new_level, f"{old_level}->{new_level}"))
+
     def _on_l2_miss(self, detect_cycle: int) -> None:
-        if self._detached:
-            return
         self.telemetry.add_event(PolicyEvent(
             detect_cycle, "l2_miss", self.proc.level))
 
     def _on_policy_event(self, cycle: int, kind: str, level: int,
                          detail: str) -> None:
-        if self._detached:
-            return
         self.telemetry.add_event(PolicyEvent(cycle, kind, level, detail))
 
     # ------------------------------------------------------------------
@@ -271,6 +226,4 @@ class TelemetryProbe:
             # re-align the next edge past the flushed partial interval
             self._next_edge = proc.cycle + self.period
         self.telemetry.meta["end_cycle"] = proc.cycle
-        if self.profiler is not None:
-            self.profiler.finish()
         return self.telemetry

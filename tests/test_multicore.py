@@ -213,3 +213,26 @@ class TestContention:
                                         warmup=1500, measure=4000)
             return system.aggregate_ipc()
         assert chip_ipc(dynamic_config(3)) > 1.15 * chip_ipc(base_config())
+
+
+class TestObservers:
+    def test_hooks_fire_under_the_system_scheduler(self):
+        """The system steps each core through ``step_cycle`` and
+        ``advance`` directly, never through ``Processor.run``: observers
+        attached to a core must see every one of those steps."""
+        from repro.debug import Sanitizer
+        from repro.telemetry import TelemetryProbe
+        traces = [generate_trace(profile(p), n_ops=4_000, seed=1)
+                  for p in ("libquantum", "gcc")]
+        system = MultiCoreSystem([dynamic_config(3)] * 2, traces)
+        core = system.cores[0]
+        sanitizer = Sanitizer(core)
+        probe = TelemetryProbe(period=64).attach(core)
+        system.run(until_committed_each=3_000)
+        tel = probe.finish()
+        sanitizer.final_check()
+        assert (sum(s.committed for s in tel.samples)
+                == core.stats.committed_uops == 3_000)
+        transitions = (core.stats.enlarge_transitions
+                       + core.stats.shrink_transitions)
+        assert sanitizer.events.counts()["level"] == transitions == 10

@@ -9,6 +9,7 @@ squash tail-retraction, CAM holes) the shrink-vacancy measurement
 rests on.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -24,7 +25,7 @@ from repro.debug import (
 from repro.debug import mutations
 from repro.debug.events import EVENT_KINDS
 from repro.debug.sanitizer import INVARIANTS
-from repro.pipeline import Processor, simulate
+from repro.pipeline import PipelineTracer, Processor, simulate
 
 
 # ----------------------------------------------------------------------
@@ -161,12 +162,25 @@ class TestCamSlotTracker:
 
 
 @pytest.fixture(scope="module")
-def sanitized_dynamic(libquantum_trace):
-    """One sanitized DYNAMIC run shared by the assertions below."""
+def sanitized_run(libquantum_trace):
+    """One sanitized DYNAMIC run, with a pipeline tracer attached too,
+    shared by the assertions below."""
     proc = Processor(dynamic_config(3), libquantum_trace, sanitize=True)
+    tracer = PipelineTracer(proc, capacity=10_000)
     proc.run(until_committed=8_000)
     proc.debug.final_check()
-    return proc
+    return proc, tracer
+
+
+@pytest.fixture(scope="module")
+def sanitized_dynamic(sanitized_run):
+    return sanitized_run[0]
+
+
+def _jsonl_sha256(records) -> str:
+    text = "".join(json.dumps(r.as_dict(), sort_keys=True) + "\n"
+                   for r in records)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestCleanRun:
@@ -234,6 +248,38 @@ class TestCleanRun:
                    for r in ("ROB", "IQ", "LSQ"))
         assert max(summary["max_straddle"].values()) > 0
 
+    def test_summary_pinned(self, sanitized_dynamic):
+        summary = sanitized_dynamic.debug.summary()
+        # event_schedule counts what the check visits, not machine
+        # behaviour: not part of the pin
+        del summary["invariant_checks"]["event_schedule"]
+        assert summary == {
+            "cycles_checked": 4138,
+            "invariant_checks": {
+                "counter_conservation": 12414,
+                "ground_truth_occupancy": 4138,
+                "in_order_commit": 4143,
+                "level_capacity": 4138,
+                "mshr_bound": 8276,
+                "occupancy_bounds": 12414,
+                "rob_program_order": 4143,
+                "shrink_slot_vacancy": 5,
+                "timer_liveness": 4138,
+            },
+            "shrink_divergences": {"ROB": 0, "IQ": 0, "LSQ": 0},
+            "max_straddle": {"ROB": 0, "IQ": 0, "LSQ": 0},
+            "events": {"commit": 8003, "dispatch": 8696, "fetch": 8696,
+                       "issue": 8366, "level": 12, "stall": 2049},
+        }
+
+    def test_observer_records_pinned(self, sanitized_run):
+        proc, tracer = sanitized_run
+        assert len(tracer.records) == tracer.total_committed == 8003
+        assert _jsonl_sha256(tracer.records) == (
+            "27513c54ebffa33409671340ff4fc226fa26bce4b45874bb814b77aa739aa75c")
+        assert _jsonl_sha256(proc.debug.events.records) == (
+            "9b59d78f4cb47f598e8ef28cafc53c7ea4e356241fbfba386527cd48a697a7a8")
+
     def test_events_export_jsonl(self, sanitized_dynamic, tmp_path):
         trace = sanitized_dynamic.debug.events
         path = tmp_path / "pipeline_events.jsonl"
@@ -297,8 +343,9 @@ class TestFailurePaths:
     def test_event_scheduled_in_the_past_detected(self, libquantum_trace):
         proc = Processor(fixed_config(1), libquantum_trace, sanitize=True)
         proc.run(until_committed=200)
+        proc._schedule(proc.cycle - 1, 0, None)
         with pytest.raises(SanitizerError, match="scheduled in the past"):
-            proc._schedule(proc.cycle - 1, 0, None)
+            proc.debug.final_check()
 
 
 # ----------------------------------------------------------------------

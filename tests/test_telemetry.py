@@ -2,25 +2,25 @@
 
 The two invariants of :mod:`repro.telemetry` are locked in here:
 
-* zero cost when off — an unprobed processor carries no telemetry
-  wrappers and no per-cycle telemetry branch;
+* cheap when off — an unprobed processor has empty observer hook
+  lists, and attaching or detaching a probe changes nothing else;
 * digest neutrality — a probed run's canonical stat digest is
   bit-identical to a bare run (the PR 2 mutation-on-observation bug
   class, re-audited for every counter the probe reads).
 """
 
+import hashlib
 import os
 
 import pytest
 
 from repro.config import base_config, dynamic_config
-from repro.pipeline import Processor, simulate
+from repro.pipeline import PipelineTracer, Processor, simulate
 from repro.telemetry import (
     IntervalSample,
     PolicyEvent,
     Telemetry,
     TelemetryProbe,
-    StageProfiler,
     grow_miss_coincidence,
     load_events_csv,
     load_samples_csv,
@@ -248,29 +248,48 @@ class TestPolicyEvents:
 # the two invariants
 
 
+def observer_hooks(proc):
+    """Every callable registered on the processor and its hierarchy."""
+    return [list(proc.on_step), list(proc.on_advance), list(proc.on_level),
+            list(proc.on_commit), list(proc.hierarchy.l2_miss_listeners)]
+
+
 class TestInvariants:
     def test_zero_cost_when_off(self):
         proc = Processor(dynamic_config(3), make_trace(
             [ialu(i, dst=1 + (i % 8)) for i in range(100)]))
-        assert proc.telemetry is None
-        # no bound-method shadowing on a bare processor: the per-cycle
-        # entry points resolve to the class methods
-        for name in ("advance", "_apply_level", "step_cycle"):
-            assert name not in proc.__dict__
+        # nothing observes a bare processor: every hook list is empty
+        assert (proc.on_step, proc.on_advance, proc.on_level,
+                proc.on_commit) == ([], [], [], [])
+        assert not hasattr(proc, "telemetry")
+        assert not hasattr(proc, "tracer")
 
     def test_attach_detach_restores(self):
         ops = missing_burst_trace(n_bursts=2)
-        proc = Processor(dynamic_config(3), make_trace(ops))
+        proc = Processor(dynamic_config(3), make_trace(ops), sanitize=True)
         warm_icache(proc)
+        before = observer_hooks(proc)
         probe = TelemetryProbe(period=64)
         probe.attach(proc)
-        assert "advance" in proc.__dict__
+        assert observer_hooks(proc) != before
         with pytest.raises(RuntimeError):
             probe.attach(proc)
         probe.detach()
-        assert "advance" not in proc.__dict__
-        assert "_apply_level" not in proc.__dict__
-        assert proc.telemetry is None
+        # the sanitizer's registrations stay, the probe's are gone
+        assert observer_hooks(proc) == before
+
+    def test_observers_shadow_no_method(self):
+        ops = missing_burst_trace(n_bursts=2)
+        proc = Processor(dynamic_config(3), make_trace(ops), sanitize=True)
+        warm_icache(proc)
+        TelemetryProbe(period=64).attach(proc)
+        tracer = PipelineTracer(proc)
+        proc.run(until_committed=len(ops))
+        assert tracer.total_committed == len(ops)
+        for obj in (proc, proc.window, proc.hierarchy, proc.policy):
+            shadowed = [name for name in vars(obj)
+                        if callable(getattr(type(obj), name, None))]
+            assert shadowed == [], type(obj).__name__
 
     @pytest.mark.parametrize("program,config", [
         ("omnetpp", dynamic_config(3)),
@@ -288,8 +307,41 @@ class TestInvariants:
         assert probe.telemetry.samples_emitted > 0
         assert result_digest(bare) == result_digest(probed)
 
+    @staticmethod
+    def _jsonl_sha256(probe, tmp_path):
+        path = probe.telemetry.to_jsonl(str(tmp_path / "run.jsonl"))
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    def test_learned_policy_recording_pinned(self, tmp_path):
+        # the bandit's pull/reward events reach the probe through the
+        # policy listener; grow/shrink/drain/l2_miss through the core
+        from repro.core.policies import make_policy
+        from repro.workloads import trace_for_program
+        config = dynamic_config(3)
+        probe = TelemetryProbe(period=256)
+        simulate(config, trace_for_program("riscv:hashprobe", 4_000, seed=1),
+                 warmup=1_000, measure=3_000, telemetry=probe,
+                 policy=make_policy("bandit:ucb", config.level,
+                                    config.memory.min_latency))
+        assert probe.telemetry.event_counts["pull"] > 0
+        assert probe.telemetry.event_counts["reward"] > 0
+        assert self._jsonl_sha256(probe, tmp_path) == (
+            "966e0b29c9233b39adcec3758703cce23f26936057827483f07561953b1d5d5b")
+
+    def test_sanitized_recording_pinned(self, tmp_path):
+        # probe and sanitizer observe the same transitions
+        trace = generate_trace(profile("libquantum"), n_ops=4_000, seed=1)
+        probe = TelemetryProbe(period=32)
+        simulate(dynamic_config(3), trace, warmup=0, measure=4_000,
+                 telemetry=probe, sanitize=True)
+        assert probe.telemetry.event_counts == {
+            "l2_miss": 199, "grow": 8, "shrink": 6, "drain": 3}
+        assert self._jsonl_sha256(probe, tmp_path) == (
+            "62ec6fa7593e043d2dc020408ecf80d3356c620d9aff8bb27856bc03ea2ab6b5")
+
     def test_digest_neutral_under_sanitizer(self):
-        # probe and sanitizer chain on the same bound methods
+        # probe and sanitizer share the on_level hook
         trace_a = generate_trace(profile("omnetpp"), n_ops=6_000, seed=1)
         trace_b = generate_trace(profile("omnetpp"), n_ops=6_000, seed=1)
         bare = simulate(dynamic_config(3), trace_a,
@@ -299,33 +351,6 @@ class TestInvariants:
                         measure=3_000, sanitize=True, telemetry=probe)
         assert result_digest(bare) == result_digest(both)
         assert probe.telemetry.samples_emitted > 0
-
-
-# ----------------------------------------------------------------------
-# profiler
-
-
-class TestProfiler:
-    def test_stage_times_recorded(self):
-        __, probe = probed_burst_run(period=64, profile=True)
-        prof = probe.profiler
-        assert prof is not None
-        assert prof.calls["commit"] > 0
-        assert prof.seconds["commit"] >= 0.0
-        assert prof.wall_seconds > 0.0
-        assert "commit" in prof.render()
-
-    def test_profiled_run_timing_identical(self):
-        ops = missing_burst_trace(n_bursts=2)
-        plain = Processor(dynamic_config(3), make_trace(ops))
-        warm_icache(plain)
-        plain.run(until_committed=len(ops))
-        profiled = Processor(dynamic_config(3), make_trace(ops))
-        warm_icache(profiled)
-        StageProfiler().attach(profiled)
-        profiled.run(until_committed=len(ops))
-        assert profiled.stats.cycles == plain.stats.cycles
-        assert profiled.stats.committed_uops == plain.stats.committed_uops
 
 
 # ----------------------------------------------------------------------

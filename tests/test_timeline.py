@@ -1,56 +1,6 @@
-"""Timeline sampling and sparkline rendering."""
+"""Sparkline rendering (the telemetry report's timelines)."""
 
-import pytest
-
-from repro.config import dynamic_config
-from repro.pipeline import Processor
-from repro.stats import TimelineSampler, record_timeline, sparkline
-
-from tests.conftest import ialu, make_trace, warm_icache
-
-
-def compute_trace(n=3000):
-    return make_trace([ialu(i, dst=1 + (i % 8)) for i in range(n)])
-
-
-class TestSampler:
-    def test_samples_at_window_edges(self):
-        proc = Processor(dynamic_config(3), compute_trace())
-        warm_icache(proc)
-        timeline = record_timeline(proc, until_committed=3000,
-                                   window_cycles=100)
-        assert len(timeline) >= 3
-        cycles = [s.cycle for s in timeline.samples]
-        assert cycles == sorted(cycles)
-        assert all(c % 100 == 0 for c in cycles)
-
-    def test_committed_sums_match(self):
-        proc = Processor(dynamic_config(3), compute_trace())
-        warm_icache(proc)
-        timeline = record_timeline(proc, until_committed=3000,
-                                   window_cycles=100)
-        assert sum(s.committed for s in timeline.samples) <= 3000 + 3
-        assert sum(s.committed for s in timeline.samples) > 2000
-
-    def test_levels_recorded(self):
-        proc = Processor(dynamic_config(3), compute_trace())
-        warm_icache(proc)
-        timeline = record_timeline(proc, until_committed=3000,
-                                   window_cycles=100)
-        assert set(timeline.levels()) <= {1, 2, 3}
-
-    def test_window_validation(self):
-        proc = Processor(dynamic_config(3), compute_trace())
-        with pytest.raises(ValueError):
-            TimelineSampler(proc, window_cycles=0)
-
-    def test_ipcs_derived(self):
-        proc = Processor(dynamic_config(3), compute_trace())
-        warm_icache(proc)
-        timeline = record_timeline(proc, until_committed=3000,
-                                   window_cycles=100)
-        for ipc in timeline.ipcs():
-            assert 0.0 <= ipc <= 4.0
+from repro.stats import sparkline
 
 
 class TestSparkline:
