@@ -38,10 +38,6 @@ class HysteresisPolicy(ResizingPolicy):
     def next_timer(self) -> int | None:
         return self.inner.next_timer()
 
-    @property
-    def wants_tick_every_cycle(self) -> bool:
-        return self.inner.wants_tick_every_cycle
-
 
 PROGRAMS = ("libquantum", "omnetpp", "milc", "gcc", "sjeng")
 

@@ -23,7 +23,7 @@ from repro.stats.report import SimulationResult
 
 #: canonical component order for rendering
 COMPONENTS = ("base", "mem_dram", "mem_cache", "mem_forward", "deps",
-              "issue", "exec", "policy_timer", "frontend")
+              "issue", "exec", "frontend")
 
 _LABELS = {
     "base": "base (ideal width)",
@@ -33,7 +33,6 @@ _LABELS = {
     "deps": "data dependences",
     "issue": "issue/FU contention",
     "exec": "execution latency",
-    "policy_timer": "resize timer wait",
     "frontend": "front end / recovery",
 }
 

@@ -204,16 +204,17 @@ class BanditWindowPolicy(ResizingPolicy):
         if listener is not None:
             listener(cycle, kind, level, detail)
 
-    def _shrink_toward(self, window: WindowSet) -> ResizeDecision:
+    def _shrink_toward(self, cycle: int,
+                       window: WindowSet) -> ResizeDecision:
         """Continue a pending shrink: complete it once the regions to
-        vacate are empty, stall allocation (a charged drain cycle)
-        until then."""
+        vacate are empty, stall allocation until then.  The drain's
+        cycles are charged as its end cycle minus its start cycle, which
+        ``tick`` subtracted, so no drain cycle needs a tick."""
         if window.can_shrink_to(self._target):
             self.level = self._target
             self._want_shrink = False
-            self._cost_cycles += self.transition_penalty
+            self._cost_cycles += cycle + self.transition_penalty
             return ResizeDecision(new_level=self.level)
-        self._cost_cycles += 1
         return ResizeDecision(stop_alloc=True)
 
     def _eligible_arms(self, cycle: int) -> range:
@@ -248,7 +249,7 @@ class BanditWindowPolicy(ResizingPolicy):
 
     def tick(self, cycle: int, window: WindowSet) -> ResizeDecision:
         if self._want_shrink:
-            return self._shrink_toward(window)
+            return self._shrink_toward(cycle, window)
         if cycle < self._next_check:
             return ResizeDecision()
         elapsed = max(1, cycle - self._last_check_cycle)
@@ -309,12 +310,14 @@ class BanditWindowPolicy(ResizingPolicy):
             self._settling = True
             self._target = nxt
             self._want_shrink = True
-            return self._shrink_toward(window)
+            self._cost_cycles -= cycle      # the drain starts now
+            return self._shrink_toward(cycle, window)
         return ResizeDecision()
 
-    @property
-    def wants_tick_every_cycle(self) -> bool:
-        return True
+    def next_timer(self) -> int | None:
+        """The next check; none while a shrink drains (the vacancy check
+        cannot change before the machine moves)."""
+        return None if self._want_shrink else self._next_check
 
 
 class TablePolicy(ResizingPolicy):
@@ -400,6 +403,6 @@ class TablePolicy(ResizingPolicy):
             return ResizeDecision(stop_alloc=True)
         return ResizeDecision()
 
-    @property
-    def wants_tick_every_cycle(self) -> bool:
-        return True
+    def next_timer(self) -> int | None:
+        """The next check; none while a shrink drains."""
+        return None if self._want_shrink else self._next_check

@@ -225,6 +225,8 @@ class ContributionPolicy(ResizingPolicy):
 
     def tick(self, cycle: int, window: WindowSet) -> ResizeDecision:
         if self._want_shrink:
+            if self._probe_dir > 0:
+                self._probe_dir = 0        # a revert's drain starts now
             return self._shrink_one(window)
         if cycle < self._next_check:
             return ResizeDecision()
@@ -237,8 +239,11 @@ class ContributionPolicy(ResizingPolicy):
         self._probe_dir = 0
         if direction > 0:
             if rate < self._last_rate * self.keep_gain:
-                # enlargement did not pay: revert and try down next
+                # enlargement did not pay: revert from the next tick on
+                # (the up-trial stays marked until then, see next_timer)
+                # and try down next
                 self._want_shrink = True
+                self._probe_dir = direction
                 self._prefer_down = True
                 self._cooldown_left = self.cooldown
             self._last_rate = rate         # windowed reference, no ratchet
@@ -262,9 +267,13 @@ class ContributionPolicy(ResizingPolicy):
             return ResizeDecision()
         return self._start_trial(window)
 
-    @property
-    def wants_tick_every_cycle(self) -> bool:
-        return True
+    def next_timer(self) -> int | None:
+        """The next check.  A revert decided at a check starts to drain
+        on the tick after it; a drain under way needs no timer (the
+        vacancy check cannot change before the machine moves)."""
+        if not self._want_shrink:
+            return self._next_check
+        return self._last_check_cycle + 1 if self._probe_dir > 0 else None
 
 
 def _make_static(arg: str, max_level: int, memory_latency: int):
@@ -356,7 +365,8 @@ POLICY_REGISTRY: tuple[PolicyInfo, ...] = (
         "contribution", "contribution",
         "ILP-feedback comparator (Folegnani-style): probe a level move "
         "every period, keep it only if commit rate justifies it",
-        "pin-equivalence, degenerate-memory (no-miss premise), fuzz",
+        "pin-equivalence, degenerate-memory (no-miss premise), "
+        "ff equivalence, fuzz",
         _make_contribution),
     PolicyInfo(
         "bandit", "bandit:ucb[:seed] | bandit:egreedy[:seed]",
@@ -364,14 +374,15 @@ POLICY_REGISTRY: tuple[PolicyInfo, ...] = (
         "rate net of measured transition/drain cost; seeded "
         "deterministic exploration",
         "pin-equivalence, degenerate-memory (stays at level 1), "
-        "seeded-replay bit-identity, fuzz",
+        "seeded-replay bit-identity, ff equivalence, fuzz",
         _make_bandit),
     PolicyInfo(
         "table", "table:<path>",
         "zero-exploration decision table (miss bucket -> level) "
         "distilled from telemetry by tools/train_policy_table.py",
-        "pin-equivalence and degenerate-memory via its bucket-0 level; "
-        "library/batch only (the service rejects file-path specs)",
+        "pin-equivalence and degenerate-memory via its bucket-0 level, "
+        "ff equivalence; library/batch only (the service rejects "
+        "file-path specs)",
         _make_table),
 )
 

@@ -143,15 +143,12 @@ class MLPAwarePolicy(ResizingPolicy):
 
     def next_timer(self) -> int | None:
         """Next cycle at which this policy needs to run even if the
-        pipeline is otherwise idle (lets the simulator fast-forward)."""
+        pipeline is otherwise idle (lets the simulator fast-forward).
+        A shrink waiting for its region to drain needs none: the
+        vacancy check cannot change before the machine moves."""
         candidates = []
         if self._pending_misses:
             candidates.append(self._pending_misses[0])
         if self.shrink_timing >= 0:
             candidates.append(self.shrink_timing)
         return min(candidates) if candidates else None
-
-    @property
-    def wants_tick_every_cycle(self) -> bool:
-        """While a shrink is pending we must retry the vacancy check."""
-        return self.do_shrink and self.level > 1

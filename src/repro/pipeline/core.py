@@ -277,11 +277,6 @@ class Processor:
         # resizing state
         self._stop_alloc = False
         self._last_stall_reason: str | None = None
-        #: True when the last fast-forward target was set by a policy
-        #: timer that fired strictly before any machine event — the
-        #: jumped-over commit slots belong to the resize controller,
-        #: not to whatever stalled commit before the jump.
-        self._ff_timer_jump = False
 
         #: observer hooks, lists of plain callables that stay empty on
         #: a plain run: ``on_step()`` at the end of every evaluated
@@ -295,6 +290,10 @@ class Processor:
         self.on_advance: list = []
         self.on_level: list = []
         self.on_commit: list = []
+        #: a cycle the idle jump must not pass, set by an observer that
+        #: has to see the clock stop there (the telemetry probe's next
+        #: sampling edge); None when no observer needs one
+        self.jump_horizon: int | None = None
         #: fast-forward over provably idle cycles (disable to validate
         #: that the optimisation never changes observable timing)
         self.fast_forward = True
@@ -878,24 +877,25 @@ class Processor:
     # resizing
 
     def _policy_stage(self) -> bool:
+        """Tick the policy; True when it changed the level.  A stop-alloc
+        alone is no progress: it repeats until the machine or a policy
+        timer moves (DESIGN.md §6), so the jump may skip a drain."""
         self._stop_alloc = False
         decision = self.policy.tick(self.cycle, self.window)
-        acted = False
         if decision.stop_alloc:
             self._stop_alloc = True
             self.stats.stop_alloc_cycles += 1
-            acted = True
         new_level = decision.new_level
-        if new_level is not None and new_level != self.level:
-            old_level = self.level
-            self.level = new_level
-            self.window.resize_to(new_level)
-            self._refresh_capacity_cache()
-            self._change_level(self.thread, new_level)
-            for hook in self.on_level:
-                hook(old_level, new_level)
-            acted = True
-        return acted
+        if new_level is None or new_level == self.level:
+            return False
+        old_level = self.level
+        self.level = new_level
+        self.window.resize_to(new_level)
+        self._refresh_capacity_cache()
+        self._change_level(self.thread, new_level)
+        for hook in self.on_level:
+            hook(old_level, new_level)
+        return True
 
     # ------------------------------------------------------------------
     # main loop
@@ -904,17 +904,27 @@ class Processor:
         stats = self.stats
         stats.cycles += delta
         stats.note_level_cycles(self.level, delta)
+        now = self.cycle
+        thread = self.thread
         if delta > 1:
-            # fast-forwarded cycles: the machine state is frozen, so the
-            # commit-block reason of the last simulated cycle persists —
-            # unless the jump target was a policy timer firing before
-            # any machine event, in which case the skipped slots belong
-            # to the resize controller's own schedule
-            if self._ff_timer_jump:
-                reason = "policy_timer"
-            else:
-                reason = self._last_stall_reason or "frontend"
-            stats.note_stall_slots(reason, (delta - 1) * self._width)
+            # the machine is frozen across an idle jump (DESIGN.md §6):
+            # each skipped cycle stalls exactly as this one did
+            skipped = delta - 1
+            stats.note_stall_slots(self._last_stall_reason,
+                                   skipped * self._width)
+            if thread.fetch_stall_until > now:
+                stats.fetch_stall_cycles += skipped
+            queue = thread.decode_q
+            if queue:
+                if now < thread.alloc_stall_until or self._stop_alloc:
+                    stats.dispatch_stall_cycles += skipped
+                elif queue[0][0] <= now:
+                    # the ready head is refused its entries every cycle
+                    stats.dispatch_stall_cycles += skipped
+                    self.window.note_alloc_stall(
+                        1, 1, queue[0][1].uop.is_mem, skipped)
+            if self._stop_alloc:
+                stats.stop_alloc_cycles += skipped
         activity = stats.activity
         iq_c, rob_c, lsq_c, iq_m, rob_m, lsq_m = self._cap_vec
         activity.iq_size_cycles += iq_c * delta
@@ -923,10 +933,9 @@ class Processor:
         activity.iq_max_cycles += iq_m * delta
         activity.rob_max_cycles += rob_m * delta
         activity.lsq_max_cycles += lsq_m * delta
-        stall_until = self.thread.alloc_stall_until
-        if self.cycle < stall_until:
-            stats.transition_stall_cycles += min(
-                delta, stall_until - self.cycle)
+        stall_until = thread.alloc_stall_until
+        if now < stall_until:
+            stats.transition_stall_cycles += min(delta, stall_until - now)
 
     def step_cycle(self) -> int:
         """Simulate the current cycle through every stage.
@@ -956,6 +965,9 @@ class Processor:
             if jump is None:
                 raise DeadlockError(self._deadlock_report(
                     "no events, no timers, nothing in flight"))
+            horizon = self.jump_horizon
+            if horizon is not None and jump > horizon:
+                jump = horizon
             delta = max(1, jump - self.cycle) if self.fast_forward else 1
         else:
             delta = 1
@@ -1058,36 +1070,31 @@ class Processor:
         return self._trace_done()
 
     def _next_interesting_cycle(self) -> int | None:
+        """The first cycle ahead at which an event is due, a stall ends,
+        a decoded op is ready or the policy wakes; None if there is none."""
         now = self.cycle
-        thread = self.thread
-        candidates = []
+        candidates = self._policy_wakeups()
         if self._events:
             candidates.append(self._events[0][0])
-        if thread.fetch_stall_until > now:
+        for thread in self.threads:
             candidates.append(thread.fetch_stall_until)
-        if thread.alloc_stall_until > now:
             candidates.append(thread.alloc_stall_until)
-        if thread.decode_q:
-            head_ready = thread.decode_q[0][0]
-            if head_ready > now:
-                candidates.append(head_ready)
+            if thread.decode_q:
+                candidates.append(thread.decode_q[0][0])
+        future = [c for c in candidates if c is not None and c > now]
+        return min(future) if future else None
+
+    def _policy_wakeups(self) -> list:
+        """The cycles the policy must be ticked at (None: no timer)."""
         # an inert (static or pinned) policy never acts, so its per-cycle
         # wishes and timers must not shape fast-forwarding either — a
         # pinned run has to take the exact jump sequence of a static one
-        if not self._policy_inert and self.policy.wants_tick_every_cycle:
-            candidates.append(now + 1)
-        future = [c for c in candidates if c > now]
-        machine_next = min(future) if future else None
-        timer = None if self._policy_inert else self.policy.next_timer()
-        if (timer is not None and timer > now
-                and (machine_next is None or timer < machine_next)):
-            # the policy timer alone wakes the core: tag the jump so the
-            # skipped commit slots are charged to the controller, not to
-            # the stall reason that happened to precede the jump
-            self._ff_timer_jump = True
-            return timer
-        self._ff_timer_jump = False
-        return machine_next
+        if self._policy_inert:
+            return []
+        policy = self.policy
+        if policy.wants_tick_every_cycle:
+            return [self.cycle + 1]
+        return [policy.next_timer()]
 
     # ------------------------------------------------------------------
     # measurement control and result extraction

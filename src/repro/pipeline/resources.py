@@ -49,10 +49,10 @@ class WindowResource:
         """Pure query: no counters move (see :meth:`note_full`)."""
         return self.occupancy >= self.capacity
 
-    def note_full(self) -> None:
-        """Record one allocation-blocked cycle.  Call exactly once per
-        cycle in which allocation stalled on this resource."""
-        self.full_events += 1
+    def note_full(self, cycles: int = 1) -> None:
+        """Record ``cycles`` allocation-blocked cycles.  Call exactly
+        once per cycle (or run of cycles) allocation stalled on it."""
+        self.full_events += cycles
 
     def allocate(self, n: int = 1) -> None:
         occupancy = self.occupancy + n
@@ -168,17 +168,18 @@ class WindowSet:
             self.lsq.release()
 
     def note_alloc_stall(self, need_rob: int, need_iq: int,
-                         need_lsq: int) -> None:
-        """Record one stalled-allocation cycle against every resource
-        that lacked room for the request.  The caller must invoke this
-        at most once per stalled cycle, so ``full_events`` stays equal
-        to the number of cycles the resource blocked allocation."""
+                         need_lsq: int, cycles: int = 1) -> None:
+        """Record ``cycles`` stalled-allocation cycles against every
+        resource that lacked room for the request.  The caller must
+        invoke this at most once per stalled cycle (or frozen run of
+        them, like an idle jump), so ``full_events`` stays equal to the
+        number of cycles the resource blocked allocation."""
         rob = self.rob
         if rob.capacity - rob.occupancy < need_rob:
-            rob.note_full()
+            rob.note_full(cycles)
         iq = self.iq
         if iq.capacity - iq.occupancy < need_iq:
-            iq.note_full()
+            iq.note_full(cycles)
         lsq = self.lsq
         if lsq.capacity - lsq.occupancy < need_lsq:
-            lsq.note_full()
+            lsq.note_full(cycles)

@@ -21,9 +21,8 @@ Design notes:
   resolution, issue, completion) exists once, in :mod:`repro.pipeline.
   core`.  This module adds SMT policy only: which thread fetches, the
   commit and dispatch rotation, the detector stage and the partition,
-  plus per-thread forms of the run loop, the cycle accounting, the
-  idle-jump target and the drain check (shared forms measurably slowed
-  the single-thread loop).
+  plus per-thread forms of the run loop, the cycle accounting and the
+  drain check (shared forms measurably slowed the single-thread loop).
 * That policy reaches the shared bodies through two per-thread objects.
   A :class:`_Partition` is the thread's window: it takes the stages'
   ``WindowSet`` calls, gates allocation on the thread's quota and
@@ -355,11 +354,15 @@ class SMTProcessor(Processor):
         return super()._fetch_stage(thread)
 
     def _select_fetch_thread(self, now: int) -> Thread | None:
-        """Pick the thread that owns the fetch port this cycle."""
-        ready = [t for t in self.threads
-                 if now >= t.fetch_stall_until
-                 and len(t.decode_q) < FETCH_BUFFER
-                 and (t.wrong_mode or t.trace_idx < len(t.trace.ops))]
+        """Pick the thread that owns the fetch port this cycle; each
+        fetch-stalled thread counts a stall cycle, as one thread does."""
+        ready = []
+        for t in self.threads:
+            if now < t.fetch_stall_until:
+                t.stats.fetch_stall_cycles += 1
+            elif (len(t.decode_q) < FETCH_BUFFER
+                  and (t.wrong_mode or t.trace_idx < len(t.trace.ops))):
+                ready.append(t)
         if not ready:
             return None
         policy = self.fetch_policy
@@ -397,30 +400,12 @@ class SMTProcessor(Processor):
             if now < thread.alloc_stall_until:
                 stats.transition_stall_cycles += min(
                     delta, thread.alloc_stall_until - now)
+            if delta > 1 and thread.fetch_stall_until > now:
+                stats.fetch_stall_cycles += delta - 1
 
-    def _next_interesting_cycle(self) -> int | None:
-        now = self.cycle
-        candidates = []
-        if self._events:
-            candidates.append(self._events[0][0])
-        for thread in self.threads:
-            if thread.fetch_stall_until > now:
-                candidates.append(thread.fetch_stall_until)
-            if thread.alloc_stall_until > now:
-                candidates.append(thread.alloc_stall_until)
-            if thread.decode_q:
-                head_ready = thread.decode_q[0][0]
-                if head_ready > now:
-                    candidates.append(head_ready)
-            detector = thread.window.detector
-            if detector is not None:
-                if detector.wants_tick_every_cycle:
-                    candidates.append(now + 1)
-                timer = detector.next_timer()
-                if timer is not None and timer > now:
-                    candidates.append(timer)
-        future = [c for c in candidates if c > now]
-        return min(future) if future else None
+    def _policy_wakeups(self) -> list:
+        return [t.window.detector.next_timer() for t in self.threads
+                if t.window.detector is not None]
 
     def _trace_done(self) -> bool:
         return all(t.drained() for t in self.threads)

@@ -17,7 +17,9 @@ artifact — e.g. one the campaign executor wrote under
 ``.simcache/telemetry/`` via ``python -m repro.experiments
 --telemetry``.  ``smoke`` is the CI gate: it asserts digest neutrality
 (telemetry on/off bit-identical), grow↔miss coincidence on a
-memory-bound workload, and JSONL round-trip fidelity.
+memory-bound workload, JSONL round-trip fidelity, and that the dynamic
+model's recordings, under its own policy and under ``bandit:ucb``, are
+identical with fast-forward on and off.
 """
 
 from __future__ import annotations
@@ -84,11 +86,13 @@ def _cmd_report(args) -> int:
 
 def _cmd_smoke(args) -> int:
     """CI self-check: digest neutrality + grow↔miss coincidence +
-    artifact round-trip, on a memory-bound workload."""
-    import os
+    artifact round-trip, on a memory-bound workload, and recordings
+    identical with fast-forward on and off."""
     import tempfile
 
-    from repro.verify.digest import diff_payloads, result_digest
+    from repro.core.policies import make_policy
+    from repro.verify.digest import (diff_payloads, digest_payload,
+                                     result_digest)
 
     config = _make_config(args.model, args.level)
 
@@ -96,6 +100,18 @@ def _cmd_smoke(args) -> int:
         return trace_for_program(args.program,
                                  n_ops=args.warmup + args.measure + 1_000,
                                  seed=args.seed)
+
+    def recording(policy_spec, fast_forward):
+        """The records a dynamic-model run's JSONL artifact is made of."""
+        dynamic = dynamic_config(args.level)
+        policy = None if policy_spec is None else make_policy(
+            policy_spec, dynamic.level, dynamic.memory.min_latency)
+        probe = TelemetryProbe(period=args.period)
+        simulate(dynamic, fresh_trace(), warmup=args.warmup,
+                 measure=args.measure, policy=policy, telemetry=probe,
+                 fast_forward=fast_forward)
+        tel = probe.telemetry
+        return tel._meta_record(), list(tel.samples), list(tel.events)
 
     bare = simulate(config, fresh_trace(),
                     warmup=args.warmup, measure=args.measure)
@@ -105,7 +121,8 @@ def _cmd_smoke(args) -> int:
     failures = []
     if result_digest(bare) != result_digest(probed):
         failures.append("telemetry on/off digests differ:\n"
-                        + "\n".join(diff_payloads(bare, probed)))
+                        + "\n".join(diff_payloads(digest_payload(bare),
+                                                  digest_payload(probed))))
     tel = probe.telemetry
     if not tel.samples_emitted:
         failures.append("probe recorded no samples")
@@ -127,6 +144,11 @@ def _cmd_smoke(args) -> int:
             failures.append("JSONL artifact did not round-trip")
     finally:
         os.unlink(path)
+    # the jump stops at the probe's edges and charges what stepping would
+    for spec in (None, "bandit:ucb"):
+        if recording(spec, True) != recording(spec, False):
+            failures.append(f"dynamic-{args.level} {spec or 'own policy'} "
+                            f"recording differs with fast-forward off")
     if failures:
         for failure in failures:
             print(f"SMOKE FAIL: {failure}", file=sys.stderr)
@@ -135,7 +157,9 @@ def _cmd_smoke(args) -> int:
           f"bit-identical with probe attached; "
           f"{co['matched']}/{co['grows']} grow events within "
           f"{co['window']} cycles of a demand L2 miss; "
-          f"{tel.samples_emitted} samples round-tripped")
+          f"{tel.samples_emitted} samples round-tripped; "
+          f"dynamic-{args.level} and bandit:ucb recordings identical "
+          f"with fast-forward on and off")
     return 0
 
 
@@ -185,7 +209,8 @@ def main(argv=None) -> int:
 
     smoke_p = subs.add_parser("smoke",
                               help="CI gate: digest neutrality, grow-miss "
-                                   "coincidence, JSONL round-trip")
+                                   "coincidence, JSONL round-trip, "
+                                   "recordings fast-forward-invariant")
     _add_run_args(smoke_p, defaults_measure=8_000)
     smoke_p.set_defaults(func=_cmd_smoke)
 

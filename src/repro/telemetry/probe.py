@@ -18,14 +18,13 @@ Digest neutrality
     smoke`` re-checks it in CI.
 
 Interval semantics under fast-forward
-    Samples are recorded at every crossed period edge *after* the main
-    loop advances the clock.  A fast-forward jump that crosses several
-    edges freezes the machine state, so each skipped edge records that
-    frozen occupancy picture — but the jump's *accounting* (commit
-    deltas, lump-charged stall slots) all lands in the first interval
-    the jump crosses; later intervals inside the jump read as zeros.
-    See ``docs/observability.md`` for how to read the resulting
-    timelines.
+    Samples are recorded at every period edge *after* the main loop
+    advances the clock.  The probe holds the processor's
+    ``jump_horizon`` at its next edge, so an idle jump stops there and
+    every interval charges exactly the cycles it covers: a recording is
+    byte-identical to one of a run that steps every cycle.  A drain
+    event is stamped at the cycle after the stop-alloc decision, where
+    stepping stamps it.  See ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -85,7 +84,8 @@ class TelemetryProbe:
             "start_cycle": proc.cycle,
         })
         self._prev_edge = proc.cycle
-        self._next_edge = proc.cycle + self.period
+        self._next_edge = proc.jump_horizon = proc.cycle + self.period
+        self._last_cycle = proc.cycle
         self._take_baseline()
         proc.on_advance.append(self._on_advance)
         proc.on_level.append(self._on_level)
@@ -107,6 +107,7 @@ class TelemetryProbe:
             return
         proc.on_advance.remove(self._on_advance)
         proc.on_level.remove(self._on_level)
+        proc.jump_horizon = None
         proc.hierarchy.l2_miss_listeners.remove(self._on_l2_miss)
         if self._listener_policy is not None:
             self._listener_policy.listener = None
@@ -119,14 +120,17 @@ class TelemetryProbe:
             self._cross_edges()
         # stall-to-drain onset: the controller wants to shrink but the
         # region to vacate is still occupied (_policy_stage set
-        # _stop_alloc this cycle)
+        # _stop_alloc on the cycle just left); stamped at the cycle
+        # after it, where a stepped run stamps it
         if proc._stop_alloc:
             if not self._was_draining:
                 self._was_draining = True
                 self.telemetry.add_event(PolicyEvent(
-                    proc.cycle, "drain", proc.level, "stop_alloc"))
+                    self._last_cycle + 1, "drain", proc.level,
+                    "stop_alloc"))
         elif self._was_draining:
             self._was_draining = False
+        self._last_cycle = proc.cycle
 
     def _on_level(self, old_level: int, new_level: int) -> None:
         kind = "grow" if new_level > old_level else "shrink"
@@ -159,6 +163,7 @@ class TelemetryProbe:
         while proc.cycle >= self._next_edge:
             self._record_sample(self._next_edge)
             self._next_edge += self.period
+        proc.jump_horizon = self._next_edge
 
     def _record_sample(self, edge: int) -> None:
         proc = self.proc
@@ -225,5 +230,7 @@ class TelemetryProbe:
             self._record_sample(proc.cycle)
             # re-align the next edge past the flushed partial interval
             self._next_edge = proc.cycle + self.period
+            if not self._detached:
+                proc.jump_horizon = self._next_edge
         self.telemetry.meta["end_cycle"] = proc.cycle
         return self.telemetry

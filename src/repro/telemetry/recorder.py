@@ -36,11 +36,10 @@ import os
 from collections import deque
 
 #: CPI-stack stall buckets, in the column order of the CSV export.
-#: Matches the commit-stall reasons produced by the pipeline plus the
-#: fast-forward ``policy_timer`` bucket (see ``repro.analysis.cpi``;
-#: ``base`` is derived there, never recorded).
+#: Matches the commit-stall reasons produced by the pipeline (see
+#: ``repro.analysis.cpi``; ``base`` is derived there, never recorded).
 STALL_REASONS = ("mem_dram", "mem_cache", "mem_forward", "deps",
-                 "issue", "exec", "policy_timer", "frontend")
+                 "issue", "exec", "frontend")
 
 #: Policy-event kinds a probe can record: window level transitions
 #: (``grow``/``shrink``), the controller stopping allocation to drain

@@ -25,8 +25,7 @@ from repro.telemetry.recorder import STALL_REASONS, Telemetry
 #: One display character per CPI bucket for the dominant-stall strip.
 _STALL_CHARS = {
     "mem_dram": "D", "mem_cache": "c", "mem_forward": "f",
-    "deps": "d", "issue": "i", "exec": "x",
-    "policy_timer": "t", "frontend": "F",
+    "deps": "d", "issue": "i", "exec": "x", "frontend": "F",
 }
 
 #: How close (in cycles) a demand L2 miss must precede a grow event to

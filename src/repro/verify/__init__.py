@@ -11,8 +11,8 @@ This package checks cross-run relations that must hold by construction:
 * **degenerate memory** — with every line pre-installed (no demand L2
   misses) the MLP-aware policy has no trigger and never leaves level 1;
 * **fast-forward equivalence** — the idle-cycle fast-forward is a pure
-  host-speed optimisation: disabling it must not change any
-  timing-observable statistic;
+  host-speed optimisation: disabling it must not change any statistic,
+  stall counters and the window's ``full_events`` included;
 * **timing equivalence** — jobs the campaign timing class merges (an
   IDEAL config on a depth-1 level and its FIXED twin) agree on every
   result and ``SimStats`` field but ``model``;

@@ -7,15 +7,14 @@ accounting, same level trajectory, same memory-system activity — which
 is what the differential oracles in :mod:`repro.verify.oracles` and the
 golden-digest regression (:mod:`repro.verify.golden`) compare.
 
-Deliberately **excluded** from the payload are the counters that vary
-with how the main loop *stepped* rather than what the machine *did*:
+Deliberately **excluded** from the payload are:
 
-* ``fetch_stall_cycles`` / ``dispatch_stall_cycles`` — fast-forwarding
-  jumps over provably idle cycles, so these per-cycle stall tallies are
-  only accumulated on stepped cycles;
-* ``stall_slots`` (the CPI-stack raw material) — a fast-forward jump
-  charges all skipped commit slots to the persisted stall reason (or the
-  ``policy_timer`` bucket) in one lump;
+* ``fetch_stall_cycles`` / ``dispatch_stall_cycles`` and ``stall_slots``
+  (the CPI-stack raw material).  The idle jump charges them exactly on
+  one thread, where the fast-forward oracle compares them field by
+  field, but the SMT jump does not yet; they join the digest in the
+  change that makes it exact and bumps ``SIM_VERSION`` to 4, since
+  adding them moves every digest;
 * ``energy_nj`` / ``edp`` — annotated after the fact by the energy
   model, not produced by the pipeline, and absent until annotation.
 

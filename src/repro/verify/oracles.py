@@ -24,7 +24,7 @@ from repro.config import (
     fixed_config,
     ideal_config,
 )
-from repro.core import StaticPolicy, make_policy
+from repro.core import StaticPolicy, TablePolicy, make_policy
 from repro.energy import EnergyModel
 from repro.isa import MicroOp, OpClass
 from repro.pipeline import Processor, simulate
@@ -88,11 +88,9 @@ def smoke_trace(program: str, seed: int = SMOKE_SEED,
     return trace
 
 
-def _smoke_run(config: ProcessorConfig, trace: Trace, *,
-               policy=None, fast_forward: bool = True):
+def _smoke_run(config: ProcessorConfig, trace: Trace, *, policy=None):
     return simulate(config, trace, warmup=SMOKE_WARMUP,
-                    measure=SMOKE_MEASURE, policy=policy,
-                    fast_forward=fast_forward)
+                    measure=SMOKE_MEASURE, policy=policy)
 
 
 def _digest_mismatch_detail(res_a, res_b, limit: int = 4) -> str:
@@ -390,24 +388,84 @@ def check_seeded_replay(programs=SEEDED_REPLAY_PROGRAMS,
 # 4. fast-forward equivalence
 
 
-def check_fast_forward_equivalence(programs=SMOKE_CORPUS) -> list[OracleOutcome]:
+def _fields_but_model(result) -> dict:
+    """Every result and :class:`~repro.stats.SimStats` field of a
+    result, except ``model``."""
+    fields = {name: value for name, value in vars(result).items()
+              if name not in ("model", "stats")}
+    fields.update((f"stats.{name}", value)
+                  for name, value in vars(result.stats).items()
+                  if name != "activity")
+    fields["stats.activity"] = result.stats.activity.as_dict()
+    return fields
+
+
+#: Controllers the fast-forward oracle runs besides the dynamic model's
+#: own: each publishes its periodic check as a timer, and the jump skips
+#: its drains.  ``riscv:listchase`` (pointer chasing) drains the most.
+FF_POLICIES: tuple[str, ...] = ("bandit:ucb", "bandit:egreedy",
+                                "contribution", "table")
+FF_RISCV_PROGRAM = "riscv:listchase"
+
+
+def ff_policy(name: str, config: ProcessorConfig):
+    """A fresh :data:`FF_POLICIES` policy (``table``: level 1 on no
+    miss in a window, 2 on up to three, else 3)."""
+    if name == "table":
+        return TablePolicy(config.max_level, thresholds=(1, 4),
+                           levels=(1, 2, 3))
+    return make_policy(name, config.max_level, config.memory.min_latency)
+
+
+def ff_fields(config: ProcessorConfig, trace: Trace, policy, *,
+              warmup: int, measure: int, fast_forward: bool) -> dict:
+    """Run ``trace`` as ``simulate`` does; return every result and
+    ``SimStats`` field but ``model`` and the window's ``full_events``:
+    every stall counter an idle jump must charge as stepping does."""
+    proc = Processor(config, trace, policy=policy)
+    proc.fast_forward = fast_forward
+    proc.prewarm()
+    proc.run(until_committed=warmup)
+    proc.reset_measurement()
+    proc.run(until_committed=warmup + measure)
+    window = proc.window
+    return dict(_fields_but_model(proc.result()), full_events=(
+        window.rob.full_events, window.iq.full_events, window.lsq.full_events))
+
+
+def fields_mismatch_detail(a: dict, b: dict) -> str:
+    """The fields two field views disagree on ("" when none)."""
+    diffs = [name for name in a if a[name] != b[name]]
+    return "differs in " + ", ".join(diffs[:6]) if diffs else ""
+
+
+def check_fast_forward_equivalence(
+        programs=SMOKE_CORPUS + (FF_RISCV_PROGRAM,)
+) -> list[OracleOutcome]:
     """Fast-forwarding over idle cycles must not change behaviour.
 
-    Each program runs twice on the dynamic model (whose policy timers
-    are exactly what a fast-forward bug would skew) and twice on the
-    base fixed configuration; the stat digests must match bit for bit.
+    Each program runs jumping and stepping on the base fixed
+    configuration, the dynamic model (whose policy timers are exactly
+    what a fast-forward bug would skew) and the dynamic model under each
+    of :data:`FF_POLICIES`; the pair must agree on every
+    :func:`ff_fields` field, stall counters included.
     """
+    dynamic = dynamic_config(3)
+    runs = [("fixed1", fixed_config(1), None), ("dynamic", dynamic, None)]
+    runs += [(name, dynamic, name) for name in FF_POLICIES]
     outcomes = []
     for program in programs:
         trace = smoke_trace(program)
-        for label, config in (("dynamic", dynamic_config(3)),
-                              ("fixed1", fixed_config(1))):
-            with_ff = _smoke_run(config, trace, fast_forward=True)
-            without = _smoke_run(config, trace, fast_forward=False)
-            same = result_digest(with_ff) == result_digest(without)
+        for label, config, name in runs:
+            jumped, stepped = [
+                ff_fields(config, trace,
+                          None if name is None else ff_policy(name, config),
+                          warmup=SMOKE_WARMUP, measure=SMOKE_MEASURE,
+                          fast_forward=fast_forward)
+                for fast_forward in (True, False)]
+            detail = fields_mismatch_detail(jumped, stepped)
             outcomes.append(OracleOutcome(
-                "ff-equivalence", f"{program} {label}", same,
-                "" if same else _digest_mismatch_detail(with_ff, without)))
+                "ff-equivalence", f"{program} {label}", not detail, detail))
     return outcomes
 
 
@@ -431,18 +489,6 @@ TIMING_PAIRS: tuple[tuple[str, ProcessorConfig, ProcessorConfig], ...] = (
     ("ideal3/fixed3 flat", replace(ideal_config(3), levels=_flat_levels()),
      replace(fixed_config(3), levels=_flat_levels())),
 )
-
-
-def _fields_but_model(result) -> dict:
-    """Every result and :class:`~repro.stats.SimStats` field of an
-    energy-annotated result, except ``model``."""
-    fields = {name: value for name, value in vars(result).items()
-              if name not in ("model", "stats")}
-    fields.update((f"stats.{name}", value)
-                  for name, value in vars(result.stats).items()
-                  if name != "activity")
-    fields["stats.activity"] = result.stats.activity.as_dict()
-    return fields
 
 
 def check_timing_equivalence(
@@ -478,14 +524,12 @@ def check_timing_equivalence(
                 outcomes.append(OracleOutcome(
                     "timing-equivalence", f"{subject} (not merged)", True))
                 continue
-            runs = [_fields_but_model(energy.annotate(
-                        _smoke_run(config, trace), config))
-                    for config in (ideal, fixed)]
-            diffs = [name for name in runs[0]
-                     if runs[0][name] != runs[1][name]]
+            detail = fields_mismatch_detail(*[
+                _fields_but_model(energy.annotate(_smoke_run(config, trace),
+                                                  config))
+                for config in (ideal, fixed)])
             outcomes.append(OracleOutcome(
-                "timing-equivalence", subject, not diffs,
-                "differs in " + ", ".join(diffs[:6]) if diffs else ""))
+                "timing-equivalence", subject, not detail, detail))
     return outcomes
 
 
@@ -497,8 +541,9 @@ def run_all_oracles(programs=SMOKE_CORPUS) -> list[OracleOutcome]:
     committed reference file, see :mod:`repro.verify.golden`).
 
     ``programs`` scopes the pin-equivalence, fast-forward and
-    timing-equivalence families (the last adds
-    :data:`TIMING_RISCV_PROGRAM`); monotonicity keeps its own corpus
+    timing-equivalence families (the last two add
+    :data:`FF_RISCV_PROGRAM` and :data:`TIMING_RISCV_PROGRAM`);
+    monotonicity keeps its own corpus
     (see :data:`MONOTONE_PROGRAMS` — the relation is deliberately not
     asserted on branchy programs).
     """
@@ -511,7 +556,8 @@ def run_all_oracles(programs=SMOKE_CORPUS) -> list[OracleOutcome]:
     outcomes += check_seeded_replay(
         tuple(p for p in programs if p in SEEDED_REPLAY_PROGRAMS)
         or SEEDED_REPLAY_PROGRAMS)
-    outcomes += check_fast_forward_equivalence(programs)
+    outcomes += check_fast_forward_equivalence(
+        tuple(dict.fromkeys(tuple(programs) + (FF_RISCV_PROGRAM,))))
     outcomes += check_timing_equivalence(
         tuple(dict.fromkeys(tuple(programs) + (TIMING_RISCV_PROGRAM,))))
     return outcomes

@@ -1,6 +1,7 @@
 """Property-based pipeline tests: any well-formed micro-op trace runs to
 completion with conserved commits and drained resources, on every model."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import (
@@ -12,6 +13,13 @@ from repro.config import (
 )
 from repro.isa import MicroOp, OpClass
 from repro.pipeline import Processor
+from repro.verify.oracles import (
+    FF_POLICIES,
+    ff_fields,
+    ff_policy,
+    fields_mismatch_detail,
+)
+from repro.workloads import trace_for_program
 
 from tests.conftest import CODE_BASE, DATA_BASE, make_trace, warm_icache
 
@@ -110,30 +118,36 @@ class TestAnyTraceCompletes:
 
 class TestFastForwardEquivalence:
     """The idle-cycle fast-forward is a pure optimisation: with it off,
-    every simulation must produce identical cycle counts and stats."""
+    every simulation must produce identical cycle counts and stats —
+    every result and ``SimStats`` field, the stall counters and CPI-stack
+    slots included, and the window's ``full_events``."""
+
+    @staticmethod
+    def mismatch(config, trace, policy_name=None, warmup=0, measure=None):
+        fast, slow = [
+            ff_fields(config, trace,
+                      None if policy_name is None
+                      else ff_policy(policy_name, config),
+                      warmup=warmup, measure=measure or len(trace.ops),
+                      fast_forward=fast_forward)
+            for fast_forward in (True, False)]
+        return fields_mismatch_detail(fast, slow)
 
     @given(micro_ops(max_len=60))
     @settings(max_examples=20, deadline=None)
     def test_base_model_equivalent(self, ops):
-        fast = run_to_completion(ops, base_config())
-        slow = Processor(base_config(), make_trace(ops))
-        slow.fast_forward = False
-        warm_icache(slow)
-        slow.run(until_committed=len(ops), max_cycles=2_000_000)
-        assert fast.cycle == slow.cycle
-        assert fast.stats.committed_uops == slow.stats.committed_uops
-        assert fast.stats.cycles == slow.stats.cycles
-        assert fast.hierarchy.l2.misses == slow.hierarchy.l2.misses
+        assert self.mismatch(base_config(), make_trace(ops)) == ""
 
     @given(micro_ops(max_len=60))
     @settings(max_examples=12, deadline=None)
     def test_dynamic_model_equivalent(self, ops):
-        fast = run_to_completion(ops, dynamic_config(3))
-        slow = Processor(dynamic_config(3), make_trace(ops))
-        slow.fast_forward = False
-        warm_icache(slow)
-        slow.run(until_committed=len(ops), max_cycles=2_000_000)
-        assert fast.cycle == slow.cycle
-        assert fast.stats.level_cycles == slow.stats.level_cycles
-        assert fast.stats.enlarge_transitions == \
-            slow.stats.enlarge_transitions
+        assert self.mismatch(dynamic_config(3), make_trace(ops)) == ""
+
+    @pytest.mark.parametrize("name", FF_POLICIES)
+    def test_controllers_equivalent_on_listchase(self, name):
+        """The learned and feedback controllers on the drain-heavy
+        pointer-chasing kernel: their checks are timers, and the jump
+        skips their drains."""
+        trace = trace_for_program("riscv:listchase", n_ops=4_000, seed=1)
+        assert self.mismatch(dynamic_config(3), trace, name,
+                             warmup=1_000, measure=3_000) == ""

@@ -147,15 +147,6 @@ class TestTimers:
         policy.on_l2_miss(50)
         assert policy.next_timer() == 50
 
-    def test_wants_tick_every_cycle_only_when_draining(self, policy, window):
-        assert not policy.wants_tick_every_cycle
-        policy.on_l2_miss(0)
-        policy.tick(0, window)
-        window.resize_to(policy.level)
-        window.rob.allocate(200)
-        policy.tick(MEM_LAT, window)    # do_shrink pending, not vacant
-        assert policy.wants_tick_every_cycle
-
 
 class TestValidation:
     def test_bad_args(self):

@@ -269,7 +269,7 @@ class TestCleanRun:
             "shrink_divergences": {"ROB": 0, "IQ": 0, "LSQ": 0},
             "max_straddle": {"ROB": 0, "IQ": 0, "LSQ": 0},
             "events": {"commit": 8003, "dispatch": 8696, "fetch": 8696,
-                       "issue": 8366, "level": 12, "stall": 2049},
+                       "issue": 8366, "level": 12, "stall": 2111},
         }
 
     def test_observer_records_pinned(self, sanitized_run):
@@ -278,7 +278,7 @@ class TestCleanRun:
         assert _jsonl_sha256(tracer.records) == (
             "27513c54ebffa33409671340ff4fc226fa26bce4b45874bb814b77aa739aa75c")
         assert _jsonl_sha256(proc.debug.events.records) == (
-            "9b59d78f4cb47f598e8ef28cafc53c7ea4e356241fbfba386527cd48a697a7a8")
+            "75f7dda058c203a58607a7a2c649f5a082120a09432e7686ada026997e4fb443")
 
     def test_events_export_jsonl(self, sanitized_dynamic, tmp_path):
         trace = sanitized_dynamic.debug.events

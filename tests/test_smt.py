@@ -16,6 +16,8 @@ from repro.pipeline.core import simulate
 from repro.pipeline.resources import WindowSet
 from repro.pipeline.smt import SMTProcessor, simulate_smt
 from repro.verify.digest import diff_payloads, digest_payload, result_digest
+from repro.verify.oracles import SMOKE_MEASURE, SMOKE_WARMUP, smoke_trace
+from repro.verify.smt_oracles import BASELINE_PROGRAMS
 from repro.workloads import generate_trace, profile
 
 
@@ -121,6 +123,22 @@ class TestExecution:
                               digest_payload(base))
         assert not diffs, diffs[:4]
 
+    def test_single_thread_fetch_stalls_match_baseline(self):
+        """A fetch-stalled SMT thread counts its stall cycles as the
+        single-thread core does, on evaluated cycles and across idle
+        jumps (the digest leaves the counter out)."""
+        stalls = {}
+        for program in BASELINE_PROGRAMS:
+            trace = smoke_trace(program)
+            run = simulate_smt(smt_config(1, "equal", "icount", 3), [trace],
+                               warmup=SMOKE_WARMUP, measure=SMOKE_MEASURE)
+            base = simulate(fixed_config(3), trace, warmup=SMOKE_WARMUP,
+                            measure=SMOKE_MEASURE)
+            stalls[program] = (run.threads[0].stats.fetch_stall_cycles,
+                               base.stats.fetch_stall_cycles)
+        assert all(smt == base for smt, base in stalls.values()), stalls
+        assert any(base for __, base in stalls.values()), stalls
+
     @pytest.mark.parametrize("partition,fetch", [
         ("mlp", "mlp"), ("equal", "icount"), ("shared", "icount")])
     def test_validated_two_thread_run(self, partition, fetch):
@@ -174,68 +192,80 @@ def _pin_trace(program):
 
 
 #: (programs, partition, fetch) -> (aggregate digest, per-thread digests,
-#: per-thread ``dispatch_stall_cycles``) of a 20,000-op seed-1 run with
-#: 800 warmup + 2,000 measured commits per thread.  The stall counter is
-#: pinned separately because the digest leaves it out.
+#: per-thread ``dispatch_stall_cycles``, per-thread
+#: ``fetch_stall_cycles``) of a 20,000-op seed-1 run with 800 warmup +
+#: 2,000 measured commits per thread.  The stall counters are pinned
+#: separately because the digest leaves them out.
 SMT_PINS = {
     (("libquantum", "sjeng"), "mlp", "mlp"): (
         "1ab06a56b3f13cf8b0d084afb8af042c99a7dbf60b2807f56345daa86050b5c9",
         ("fa907cb8ce7a00ba7c868c1c83c642be59dab8542fa255438a358b2f53258c6a",
          "82c74002d12102b4c8bced7d3a318471a3fb928bf7214c8fc5b0f9813a6d462b"),
-        (2893, 2205)),
+        (2893, 2205),
+        (0, 2680)),
     (("libquantum", "sjeng"), "mlp", "icount"): (
         "8c2395f70b62fb5512d8dc2803072016722f8aeeb2340482f79c43296fe6ec1a",
         ("3522c08037087965b46225ff86fbaad5322dfb026a5c7a568731951a0269af77",
          "dc1a1a172c64c240a34e46af0c90c94fedf39ad935eb3a06f81123ecd9e3d775"),
-        (2541, 1803)),
+        (2541, 1803),
+        (0, 2319)),
     (("libquantum", "sjeng"), "mlp", "roundrobin"): (
         "2775fd0fde7b1dba8e2a16d6f4cf1ad6e15fae24bb7348511d9b8d5edfd85cb5",
         ("881351212fff0944f813ccd063cb46e6fb137097f57b9c6914e73043aab88dca",
          "46906c20ca06768fde5b1936374f1931a28dac5574d492afe05c7aeeaa5657c5"),
-        (2388, 1680)),
+        (2388, 1680),
+        (0, 2309)),
     (("libquantum", "sjeng"), "equal", "mlp"): (
         "b61e6ac7d8c435ebd5980057c8a11149b8586e88163659d0c10e3dc038419449",
         ("c6d58122623c4eb1584414fd955ee9042039d6b57a4b431439513eb212e43394",
          "e7d6b4fa72a80c453354b8547547136bb1d4f1a3cf761bce571673a020983785"),
-        (2040, 1410)),
+        (2040, 1410),
+        (0, 2088)),
     (("libquantum", "sjeng"), "equal", "icount"): (
         "42c9b58372ce52b333f09b93824fb58d353a146f534f0b6d60b0417ddf08eb8b",
         ("90084312fe237152c672002e9050500e07e922c035591aefb17c33430d66a12b",
          "a414b507a31a7fd596c15c5f57eda852532f85ee1193fde829474458a048e0f9"),
-        (1909, 1280)),
+        (1909, 1280),
+        (0, 1812)),
     (("libquantum", "sjeng"), "equal", "roundrobin"): (
         "67c2f7643648b681b19c3119a37cae88f8007f45b706b3523e7de285934f202f",
         ("42372b45b08d293de3b440d38c4daeb4cce2a0881edc988126d93e689a901718",
          "2166582ab5d817d984cb6df2a0c5a4c65fc0b8e4a8d9fa1ddb735693509d41d1"),
-        (2202, 1506)),
+        (2202, 1506),
+        (0, 2494)),
     (("libquantum", "sjeng"), "shared", "mlp"): (
         "962f9858df43d3a26b9b3ea1dc7d996a09586f17ef5dc9ab9698bb7fae1ecdd6",
         ("cc5f7390644b78cfbec8d1be63592f2e19ec57775db1afa6e16aa71e70565c18",
          "7cddb03bda46c135609661623d3a622e2899d903b6a17fc1b70f03b44d665b2c"),
-        (3056, 2324)),
+        (3056, 2324),
+        (0, 3272)),
     (("libquantum", "sjeng"), "shared", "icount"): (
         "88087ac6561d983a809cbcbd4f39e4f785e9634cb7b1368a68599d8d9fc52fe5",
         ("b971f500f705fd39f3d68625d717d8ba721fc71eac8d7cdc7582c6853206886d",
          "3b1258b13c56ccdd50c7dee34ff0cb22f66c8e0fdb79e446e53e2760bc771b52"),
-        (3736, 2773)),
+        (3736, 2773),
+        (0, 3723)),
     (("libquantum", "sjeng"), "shared", "roundrobin"): (
         "fcf2fce087999f2f4780634a68ec28e017b0bfe204c3cca46c117c203fbb7419",
         ("fb67a3e1881d5350adebdd1fc4a4d77c2c1152dcfa4521e58f27612a6a06bedd",
          "17423adeedac26089e1a775cadf0db9bfed6478283cb099fabd5844ea4b0f427"),
-        (2939, 2434)),
+        (2939, 2434),
+        (0, 2741)),
     (("milc", "gcc", "libquantum"), "mlp", "mlp"): (
         "ef45941f4475c570ce70cb2ab9fa8079319a91973a88072139d23b165cb3e8e7",
         ("b49e8a8befe7c2b59f445475b36927a3cff4ceb3795e6efaa5fb6b1e95214f16",
          "7e1d6e89e59d2837c0570a023afc62c564f15b79dd3b681df58b3efaac513b67",
          "67099aeb1aad488b1cf694915d6ce68f79f60b5adb7250be5d29aa95cc5edf26"),
-        (8449, 7200, 7233)),
+        (8449, 7200, 7233),
+        (2939, 5183, 2401)),
     (("mcf", "lbm", "gcc", "sjeng"), "equal", "icount"): (
         "8edb1a653f07a43202444ccaf616906ab426fa3214a12b30b6fc8f6b373dffd0",
         ("527d7e774937f09145091cd2cffaf016e0867d2ffd95f42912bcb1bd7d178e26",
          "9d294f92ae06247df9fde6de086747e0aaddbfce0ce0d027cfd115e27013c165",
          "c191a7b16d8c80e1a8371a41db02abb0adf78b881a69e76e099c3f17e15a7558",
          "04820d28647e5942c43b488ad9e39141a56f72e40ba032bfe90af1dd97993f83"),
-        (19665, 16821, 16494, 0)),
+        (19665, 16821, 16494, 0),
+        (4383, 2662, 5310, 0)),
 }
 
 _FF_DEFECT = (
@@ -254,7 +284,7 @@ def test_smt_digests_pinned(programs, partition, fetch):
     3- and a 4-thread mix, pinned bit for bit per thread and in
     aggregate: the thread-indexed stages must keep every SMT run's
     timing."""
-    aggregate, per_thread, dispatch_stalls = SMT_PINS[
+    aggregate, per_thread, dispatch_stalls, fetch_stalls = SMT_PINS[
         (programs, partition, fetch)]
     run = simulate_smt(smt_config(len(programs), partition, fetch, 3),
                        [_pin_trace(p) for p in programs],
@@ -263,6 +293,8 @@ def test_smt_digests_pinned(programs, partition, fetch):
     assert tuple(result_digest(r) for r in run.threads) == per_thread
     assert tuple(r.stats.dispatch_stall_cycles
                  for r in run.threads) == dispatch_stalls
+    assert tuple(r.stats.fetch_stall_cycles
+                 for r in run.threads) == fetch_stalls
 
 
 @pytest.mark.xfail(strict=True, reason=_FF_DEFECT)

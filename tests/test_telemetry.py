@@ -338,7 +338,7 @@ class TestInvariants:
         assert probe.telemetry.event_counts == {
             "l2_miss": 199, "grow": 8, "shrink": 6, "drain": 3}
         assert self._jsonl_sha256(probe, tmp_path) == (
-            "62ec6fa7593e043d2dc020408ecf80d3356c620d9aff8bb27856bc03ea2ab6b5")
+            "4bfa77cd560bbdd9efe8714cc265fa72ddea94c76069a170451622097139b0e4")
 
     def test_digest_neutral_under_sanitizer(self):
         # probe and sanitizer share the on_level hook
