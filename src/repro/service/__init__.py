@@ -2,9 +2,10 @@
 
 ``python -m repro.service serve`` turns the one-shot simulation stack
 into a long-lived HTTP service — jobs as JSON, deduplicated by the
-campaign layer's content addresses, executed on a process pool into the
-shared :class:`~repro.experiments.cache.ResultStore`, observable via
-``/metrics`` and per-job event streams.  See ``docs/serving.md``.
+campaign layer's content addresses, leased to worker agents (forked
+local ones, and remote ones that register over HTTP) which write into
+the shared :class:`~repro.experiments.cache.ResultStore`, observable
+via ``/metrics`` and per-job event streams.  See ``docs/serving.md``.
 """
 
 from repro.service.client import QueueFull, ServiceClient, ServiceError

@@ -205,12 +205,12 @@ class ServiceClient:
 
 
 class ClusterClient(ServiceClient):
-    """The worker side of the coordinator's fabric protocol.
+    """The worker side of the job server's worker protocol.
 
     Same transport as :class:`ServiceClient` (it *is* one — a worker
     can also submit and inspect jobs), plus the four worker endpoints:
     register, lease (also the heartbeat/renewal), complete, deregister.
-    See :mod:`repro.service.cluster.coordinator` for the protocol.
+    See :mod:`repro.service.server` for the protocol.
     """
 
     def register_worker(self, *, name: str, slots: int = 1,

@@ -1,17 +1,15 @@
-"""Shared asyncio HTTP plumbing for the serving layer.
+"""Asyncio HTTP plumbing of the job server.
 
-Both serving processes — the single-box job server
-(:class:`repro.service.server.SimulationService`) and the cluster
-coordinator (:class:`repro.service.cluster.Coordinator`) — are
-stdlib-only asyncio HTTP servers with the same lifecycle: bind a
-socket, serve until a stop is requested (SIGINT/SIGTERM or an embedder
-calling :meth:`HttpServiceBase.request_stop`), then drain gracefully.
-This module holds exactly that shared skeleton; what a request *does*
-lives in the subclasses' ``_route`` implementations.
+The job server (:class:`repro.service.server.SimulationService`) is a
+stdlib-only asyncio HTTP server: bind a socket, serve until a stop is
+requested (SIGINT/SIGTERM or an embedder calling
+:meth:`HttpServiceBase.request_stop`), then drain gracefully.  This
+module holds that skeleton; what a request *does* lives in the
+server's ``_route``.
 
 The request parser is deliberately minimal (one request per
 connection, ``Connection: close``): the protocol is JSON-over-HTTP
-between our own client and servers, not a general web server.
+between our own client, agents and server, not a general web server.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import socket
 import sys
 import threading
 
@@ -38,15 +37,19 @@ class HttpServiceBase:
         async def _on_start()                          # build resources
         async def _on_drain()                          # graceful teardown
 
-    ``_on_drain`` runs before the listening socket closes, so a
-    draining service can keep answering the requests its own shutdown
-    protocol needs (e.g. workers reporting their last results).
+    ``_on_start`` runs once the socket is bound and listening (the
+    server forks its local agents there; each closes its copy of
+    ``_listener``).  ``_on_drain`` runs before the listening socket
+    closes, so a draining service can keep answering the requests its
+    own shutdown protocol needs (e.g. workers reporting their last
+    results).
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 8321) -> None:
         self.host = host
         self.port = port  # replaced by the bound port after start()
         self._server: asyncio.base_events.Server | None = None
+        self._listener: socket.socket | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_requested: asyncio.Event | None = None
         self._drained = False
@@ -56,7 +59,7 @@ class HttpServiceBase:
     # ------------------------------------------------------------- lifecycle
 
     async def _on_start(self) -> None:
-        """Build subclass resources; runs before the socket binds."""
+        """Build subclass resources; runs after the socket binds."""
 
     async def _on_drain(self) -> None:
         """Graceful teardown; runs before the socket closes."""
@@ -65,10 +68,11 @@ class HttpServiceBase:
         """Bind the socket, build resources, install signal handlers."""
         self._loop = asyncio.get_running_loop()
         self._stop_requested = asyncio.Event()
-        await self._on_start()
+        self._listener = socket.create_server((self.host, self.port))
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+            self._handle_connection, sock=self._listener)
+        self.port = self._listener.getsockname()[1]
+        await self._on_start()
         self._install_signal_handlers()
         self._ready.set()
 

@@ -253,7 +253,7 @@ def build_spec(payload: dict, *, sanitize: bool = False,
                               "not support smt jobs")
     if telemetry_period and telemetry_dir is None:
         raise ValidationError("telemetry_period needs an on-disk result "
-                              "store (server started with --no-cache)")
+                              "store")
 
     trace_ops = warmup + measure + 1_000  # same margin as Settings.trace_ops
     key = result_key(program, config, seed=seed, warmup=warmup,
@@ -302,9 +302,9 @@ class Job:
         self.id = job_id
         self.spec = spec
         #: the raw (validated) request this job was built from.  The
-        #: cluster coordinator ships this to workers, which re-derive
-        #: the spec locally — re-validation on the executing node is
-        #: what catches coordinator/worker version skew.
+        #: server ships this to workers, which re-derive the spec
+        #: locally — re-validation on the executing node is what
+        #: catches server/worker version skew.
         self.payload = payload
         self.state = "queued"
         self.created = time.time()

@@ -152,7 +152,7 @@ def run_load(client: ServiceClient, *, rps: float, duration: float,
                 attempts += 1
                 with lock:
                     report.retried += 1
-                # Retry-After may be fractional (the coordinator emits
+                # Retry-After may be fractional (the server emits
                 # sub-second estimates); never sleep unboundedly long
                 time.sleep(min(max(exc.retry_after, 0.0), retry_cap))
 

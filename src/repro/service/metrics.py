@@ -14,14 +14,16 @@ import time
 from repro.telemetry.reservoir import LatencyReservoir
 
 #: Pipeline of a job through the service, each with its own latency
-#: distribution: request validation, time spent queued, execution
-#: (wall-clock including retries), and end-to-end.
+#: distribution: request validation, time spent pending until a worker
+#: leased it, execution (the worker's busy time), and end-to-end.
 STAGES = ("validate", "queue_wait", "execute", "total")
 
 _COUNTERS = (
     "jobs_submitted", "jobs_completed", "jobs_failed", "jobs_rejected",
     "jobs_dropped_on_drain", "cache_hits", "coalesced", "simulations",
-    "retries", "timeouts", "requests", "bad_requests",
+    "timeouts", "requests", "bad_requests", "workers_registered",
+    "workers_lost", "leases_granted", "leases_expired", "requeues",
+    "affinity_hits", "affinity_misses", "stale_completions",
 )
 
 
@@ -38,11 +40,7 @@ class ServiceMetrics:
         self.gauges: dict[str, object] = {}
 
     def inc(self, name: str, amount: int = 1) -> None:
-        # auto-vivifying: topology-specific counters (the cluster
-        # coordinator's lease/requeue family) join the exposition on
-        # first increment; the _COUNTERS tuple only pre-seeds the
-        # common ones to zero so they render before first use.
-        self.counters[name] = self.counters.get(name, 0) + amount
+        self.counters[name] += amount
 
     def observe(self, stage: str, seconds: float) -> None:
         self.stage_latency[stage].record(seconds)

@@ -25,8 +25,8 @@ import repro
 from repro.experiments.cache import ResultStore, TieredResultStore
 from repro.experiments.parallel import _run_job
 from repro.service.client import ClusterClient, QueueFull, ServiceClient, ServiceError
-from repro.service.cluster import Coordinator, WorkerAgent, parse_coordinator
-from repro.service.frontend import format_retry_after
+from repro.service.server import SimulationService, format_retry_after
+from repro.service.worker import WorkerAgent, parse_coordinator
 from repro.service.jobs import build_spec
 from repro.verify.digest import result_digest
 
@@ -42,7 +42,7 @@ def _start_coordinator(tmp_path, **kwargs):
     defaults = dict(port=0, queue_limit=16,
                     cache_dir=str(tmp_path / "shared"))
     defaults.update(kwargs)
-    coord = Coordinator(**defaults)
+    coord = SimulationService(workers=0, **defaults)
     thread = coord.start_in_thread()
     client = ClusterClient(port=coord.port)
     client.wait_ready(timeout=30)
@@ -292,8 +292,7 @@ class TestClusterAdmission:
             _stop(coord, thread)
 
     def test_drain_rejects_pending_and_refuses_new_work(self, tmp_path):
-        coord, thread, client = _start_coordinator(tmp_path,
-                                                   drain_grace=0.2)
+        coord, thread, client = _start_coordinator(tmp_path)
         record = client.submit(dict(FAST))[0]  # pending: no workers
         _stop(coord, thread)
         assert coord.jobs[record["id"]].state == "rejected"
@@ -343,6 +342,24 @@ class TestClusterEndToEnd:
                 agent.stop()
             for __, athread in agents:
                 athread.join(timeout=30)
+            _stop(coord, thread)
+
+    def test_freed_slot_is_refilled_before_the_next_heartbeat(self, tmp_path):
+        """A one-slot agent leases its next job as soon as its slot
+        frees, not one heartbeat (``lease_ttl / 3``) later."""
+        coord, thread, client = _start_coordinator(tmp_path)
+        agent, athread = _start_agent(coord, tmp_path, "single", slots=1)
+        try:
+            assert _wait_until(lambda: client.healthz()["workers"])
+            started = time.monotonic()
+            records = client.submit_and_wait(
+                [dict(FAST, seed=seed) for seed in (1, 2, 3)], timeout=60)
+            elapsed = time.monotonic() - started
+            assert [r["state"] for r in records] == ["done"] * 3
+            assert elapsed < coord.lease_ttl / 3
+        finally:
+            agent.stop()
+            athread.join(timeout=30)
             _stop(coord, thread)
 
     def test_sigkill_mid_job_requeues_with_no_torn_entries(self, tmp_path):

@@ -10,10 +10,16 @@ workers or corrupt cache entries.
 
 from __future__ import annotations
 
+import os
+import signal
+import socket
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.config import dynamic_config
 from repro.energy import EnergyModel
 from repro.pipeline import simulate
@@ -35,6 +41,9 @@ BATCH = [
     {"program": "leslie3d", "model": "ideal", "level": 2,
      "warmup": 500, "measure": 1_500},
 ]
+#: seconds of simulation: outlives a one-second job timeout
+SLOW = {"program": "mcf", "model": "dynamic", "seed": 9,
+        "warmup": 1_000, "measure": 40_000}
 
 
 def _start(tmp_path, **kwargs):
@@ -187,7 +196,9 @@ class TestExecution:
         __, client = served
         health = client.healthz()
         assert health["status"] == "ok"
-        assert health["workers"] == 2
+        # the two forked local agents are the registered workers
+        assert [w["name"] for w in health["workers"]] == ["local-1",
+                                                          "local-2"]
         assert "mcf" in client.programs()
         metrics = client.metrics()
         assert metrics["repro_service_up"] == 1
@@ -232,19 +243,18 @@ class TestAdmissionAndDrain:
             if client.job(admitted[0]["id"])["state"] == "running":
                 break
             time.sleep(0.02)
-        workers = list(getattr(service._executor, "_processes", {}).values())
+        agents = list(service.local_agents)
         _stop(service, thread)  # SIGTERM-equivalent: request_stop + join
 
         states = [service.jobs[r["id"]].state for r in admitted]
         assert states[0] == "done"  # the running job finished
         assert "rejected" in states  # queued ones were dropped
         assert all(s in ("done", "rejected") for s in states)
-        # workers reaped: no orphaned pool processes from this service
-        # (other fixtures' pools may still be alive in-process)
-        assert workers
-        for proc in workers:
-            proc.join(timeout=10)
-            assert not proc.is_alive()
+        # the local agents exited and were reaped: no orphans
+        assert agents and not service.local_agents
+        for pid in agents:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
         # no corrupt cache entries: every stored file unpickles
         from repro.experiments.cache import ResultStore
         check = ResultStore(service.store.directory)
@@ -258,8 +268,10 @@ class TestAdmissionAndDrain:
         assert status == 503
 
     def test_worker_crash_is_retried(self, tmp_path):
+        """A SIGKILLed local agent is reaped and replaced, and its job
+        requeues at once instead of waiting for its lease to expire."""
         service, thread, client = _start(tmp_path, workers=1,
-                                         queue_limit=4, max_retries=2)
+                                         queue_limit=4, max_requeues=2)
         try:
             record = client.submit({"program": "mcf", "model": "dynamic",
                                     "seed": 7, "warmup": 1_000,
@@ -269,16 +281,73 @@ class TestAdmissionAndDrain:
                 if client.job(record["id"])["state"] == "running":
                     break
                 time.sleep(0.02)
-            # murder the worker processes mid-job
-            for proc in list(getattr(service._executor,
-                                     "_processes", {}).values()):
-                proc.terminate()
+            (holder,) = service.local_agents
+            killed = time.monotonic()
+            os.kill(holder, signal.SIGKILL)
+            job = service.jobs[record["id"]]
+            while job.attempts < 2 and time.monotonic() < killed + 30:
+                time.sleep(0.02)
+            assert time.monotonic() - killed < service.lease_ttl / 3
             finished = client.wait(record["id"], timeout=60)
             assert finished["state"] == "done"
-            assert finished["attempts"] >= 2
-            assert client.metrics()["repro_service_retries_total"] >= 1
+            assert finished["attempts"] == 2
+            requeued = [e for e in job.events if e.get("requeued")]
+            assert [e["reason"] for e in requeued] == ["local worker died"]
+            metrics = client.metrics()
+            assert metrics["repro_service_requeues_total"] >= 1
+            assert metrics["repro_service_leases_expired_total"] == 0
+            assert holder not in service.local_agents
+            assert len(service.local_agents) == 1  # replaced
         finally:
             _stop(service, thread)
+
+    def test_drained_port_refuses_connections(self, tmp_path):
+        """No forked agent keeps the listening socket open."""
+        service, thread, client = _start(tmp_path)
+        _stop(service, thread)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", service.port),
+                                     timeout=5).close()
+
+
+class TestServeProcess:
+    def test_timed_out_job_fails_and_the_server_keeps_serving(
+            self, tmp_path):
+        """``serve --timeout``: the job fails, the agent holding it is
+        replaced, and the server neither stops nor leaves a process
+        behind after SIGTERM."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "serve", "--port", "0",
+             "--workers", "1", "--timeout", "1",
+             "--cache-dir", str(tmp_path / "cache")],
+            env=dict(os.environ, PYTHONPATH=src), cwd=str(tmp_path),
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            start_new_session=True)
+        try:
+            for line in proc.stdout:
+                if "serving on http://" in line:
+                    port = int(line.split("serving on http://", 1)[1]
+                               .split()[0].rsplit(":", 1)[1])
+                    break
+            client = ServiceClient(port=port)
+            record = client.submit(dict(SLOW))[0]
+            failed = client.wait(record["id"], timeout=60)
+            assert failed["state"] == "failed"
+            assert "timed out" in failed["error"]
+            assert client.healthz()["status"] == "ok"
+            after = client.submit_and_wait(dict(JOB), timeout=60)
+            assert after[0]["state"] == "done"
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                output = proc.communicate(timeout=60)[0]
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                raise
+        assert "drained, bye" in output
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # nothing of its process group remains
 
 
 # ---------------------------------------------------------- client semantics
@@ -339,7 +408,7 @@ class TestClientSemantics:
             list(client.events("j1"))
 
     def test_fractional_retry_after_round_trips(self):
-        from repro.service.frontend import format_retry_after
+        from repro.service.server import format_retry_after
         assert format_retry_after(3.0) == "3"
         assert format_retry_after(0.25) == "0.250"
         # the client parses either form back to the same float

@@ -1,22 +1,24 @@
 #!/usr/bin/env python
-"""Demo + gate for the distributed fabric (`docs/serving.md`).
+"""Demo + gate for remote worker agents (`docs/serving.md`).
 
-Three phases, each against a fresh coordinator and fresh stores:
+Three phases, each against a fresh job server with no local agents
+(``workers=0``) and fresh stores:
 
 1. **Baseline** — one worker process serves a duplicate-heavy batch;
    wall-clock and per-job digests are recorded.
 2. **Scale-out** — N worker processes (default 4) serve the *same*
    batch.  The gate: digests bit-identical to the baseline run, every
-   unique simulation executed exactly once cluster-wide, and
+   unique simulation executed exactly once across the workers, and
    throughput at least ``--min-speedup`` times the baseline
    (workers are separate processes, so the speedup is real
-   parallelism, not thread interleaving).
+   parallelism, not thread interleaving).  Jobs must be long enough
+   (``--measure``) that the phases time simulation rather than the
+   lease round trips.
 3. **Chaos** — two workers take a deliberately slow job; the worker
-   *holding* it is SIGKILLed mid-execution.  The gate: the
-   coordinator's lease-timeout requeue reassigns it, the job
-   completes with the digest an inline run produces, and every entry
-   in the shared store still unpickles (atomic writes — no torn
-   entries).
+   *holding* it is SIGKILLed mid-execution.  The gate: the server's
+   lease-timeout requeue reassigns it, the job completes with the
+   digest an inline run produces, and every entry in the shared store
+   still unpickles (atomic writes — no torn entries).
 
 Usage::
 
@@ -43,8 +45,8 @@ sys.path.insert(0, os.path.join(_ROOT, "src"))
 from repro.experiments.cache import ResultStore  # noqa: E402
 from repro.experiments.parallel import _run_job  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
-from repro.service.cluster import Coordinator  # noqa: E402
 from repro.service.jobs import build_spec  # noqa: E402
+from repro.service.server import SimulationService  # noqa: E402
 from repro.verify.digest import result_digest  # noqa: E402
 
 PROGRAMS = ("mcf", "leslie3d", "libquantum", "gcc", "namd", "povray",
@@ -76,13 +78,14 @@ def spawn_worker(port: int, name: str, workdir: str, slots: int = 1):
 
 def run_phase(workdir: str, label: str, n_workers: int,
               batch: list[dict], lease_ttl: float = 15.0):
-    """One coordinator + ``n_workers`` worker processes serving
-    ``batch``; returns (wall_seconds, digests, metrics)."""
+    """One server + ``n_workers`` worker processes serving ``batch``;
+    returns (wall_seconds, digests, metrics)."""
     phase_dir = os.path.join(workdir, label)
     os.makedirs(phase_dir, exist_ok=True)
-    coord = Coordinator(port=0, queue_limit=max(64, len(batch)),
-                        lease_ttl=lease_ttl,
-                        cache_dir=os.path.join(phase_dir, "shared"))
+    coord = SimulationService(workers=0, port=0,
+                              queue_limit=max(64, len(batch)),
+                              lease_ttl=lease_ttl,
+                              cache_dir=os.path.join(phase_dir, "shared"))
     thread = coord.start_in_thread()
     workers = []
     try:
@@ -124,8 +127,8 @@ def run_chaos(workdir: str) -> dict:
     os.makedirs(phase_dir, exist_ok=True)
     slow = {"program": "mcf", "model": "dynamic", "seed": 77,
             "warmup": 1_000, "measure": 40_000}
-    coord = Coordinator(port=0, lease_ttl=1.0,
-                        cache_dir=os.path.join(phase_dir, "shared"))
+    coord = SimulationService(workers=0, port=0, lease_ttl=1.0,
+                              cache_dir=os.path.join(phase_dir, "shared"))
     thread = coord.start_in_thread()
     workers = {}
     try:
