@@ -227,6 +227,16 @@ class Sanitizer:
         """Re-verify everything once the run is over."""
         self._check_cycle()
 
+    def detach(self) -> None:
+        """Unregister from the processor and drop the reference to it,
+        which holds this sanitizer as ``debug``: the two would otherwise
+        form a reference cycle.  The counts and the event trace stay
+        readable; no check runs after this."""
+        proc = self.proc
+        proc.on_step.remove(self._check_cycle)
+        proc.on_level.remove(self._on_level)
+        self.proc = None
+
     def shrink_divergences(self) -> dict[str, int]:
         """Per-resource count of shrinks whose vacated region was still
         physically occupied (the documented approximation's optimism)."""

@@ -8,7 +8,7 @@ permanently corrupt the history register.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 
 from repro.config import BranchPredictorConfig
 
@@ -30,25 +30,28 @@ class BranchUpdate:
 
 
 class BTB:
-    """Set-associative branch target buffer."""
+    """Set-associative branch target buffer.
+
+    A set is built by the first :meth:`update` that reaches it: a run
+    touches a small share of the sets, and a lookup in a set not built
+    yet misses exactly as one in an empty set does.
+    """
 
     def __init__(self, sets: int, assoc: int) -> None:
         if sets & (sets - 1):
             raise ValueError("BTB set count must be a power of two")
         self.sets = sets
         self.assoc = assoc
-        self._table: list[OrderedDict[int, int]] = [
-            OrderedDict() for _ in range(sets)]
+        #: set index -> that set's pc -> target entries, in LRU order
+        self._table: defaultdict[int, OrderedDict[int, int]] = (
+            defaultdict(OrderedDict))
         self.hits = 0
         self.misses = 0
 
-    def _set_for(self, pc: int) -> OrderedDict[int, int]:
-        return self._table[(pc >> 2) & (self.sets - 1)]
-
     def lookup(self, pc: int) -> int | None:
         """Predicted target for ``pc``, or None if not resident."""
-        cset = self._set_for(pc)
-        target = cset.get(pc)
+        cset = self._table.get((pc >> 2) & (self.sets - 1))
+        target = None if cset is None else cset.get(pc)
         if target is None:
             self.misses += 1
             return None
@@ -58,7 +61,7 @@ class BTB:
 
     def update(self, pc: int, target: int) -> None:
         """Install/refresh the taken target of branch ``pc``."""
-        cset = self._set_for(pc)
+        cset = self._table[(pc >> 2) & (self.sets - 1)]
         if pc not in cset and len(cset) >= self.assoc:
             cset.popitem(last=False)
         cset[pc] = target
@@ -74,7 +77,7 @@ class BranchPredictor:
             raise ValueError("PHT size must be a power of two")
         # 2-bit counters, initialised weakly-not-taken: most static
         # branches are not-taken-biased, so this is the cheaper cold start.
-        self._pht = bytearray([1] * config.pht_entries)
+        self._pht = bytearray(b"\x01") * config.pht_entries
         self._pht_mask = config.pht_entries - 1
         self._history = 0
         self._history_mask = (1 << config.history_bits) - 1

@@ -17,6 +17,7 @@ Two observation hooks matter for the paper:
 
 from __future__ import annotations
 
+import weakref
 from enum import IntEnum
 from typing import Callable
 
@@ -79,6 +80,17 @@ class LineUsageStats:
         return out
 
 
+def _write_back_into(l2: Cache) -> Callable[[CacheLine], None]:
+    """The L1D's eviction handler: a dirty victim writes back into the
+    L2 (no extra timing: the L2 write port absorbs it)."""
+    def on_l1d_evict(line: CacheLine) -> None:
+        if line.dirty:
+            resident = l2.lookup(line.line_addr, update_lru=False)
+            if resident is not None:
+                resident.dirty = True
+    return on_l1d_evict
+
+
 class MemoryHierarchy:
     """Cache/memory system of Table 1 of the paper."""
 
@@ -96,13 +108,20 @@ class MemoryHierarchy:
         self._owns_l2 = shared_l2 is None
         self._owns_memory = shared_memory is None
         self.l1i = Cache(config.l1i, name="L1I")
-        self.l1d = Cache(config.l1d, name="L1D",
-                         evict_hook=self._on_l1d_evict)
+        # The caches' eviction handlers do not hold this facade: a bound
+        # method would make a reference cycle, which only the garbage
+        # collector can free.  The L1D's handler holds just the L2; the
+        # L2's reaches the facade through a weak reference, once per
+        # eviction.
         if shared_l2 is not None:
             self.l2 = shared_l2
         else:
-            self.l2 = Cache(config.l2, name="L2",
-                            evict_hook=self._on_l2_evict)
+            facade = weakref.ref(self)
+            self.l2 = Cache(
+                config.l2, name="L2",
+                evict_hook=lambda line: facade()._on_l2_evict(line))
+        self.l1d = Cache(config.l1d, name="L1D",
+                         evict_hook=_write_back_into(self.l2))
         self._writebacks_enabled = config.memory.model_writebacks
         self._now_hint = 0
         self.l2_writebacks = 0
@@ -136,14 +155,6 @@ class MemoryHierarchy:
 
     # ------------------------------------------------------------------
     # eviction handling
-
-    def _on_l1d_evict(self, line: CacheLine) -> None:
-        """A dirty L1D victim writes back into the L2 (no extra timing:
-        the L2 write port absorbs it)."""
-        if line.dirty:
-            resident = self.l2.lookup(line.line_addr, update_lru=False)
-            if resident is not None:
-                resident.dirty = True
 
     def _on_l2_evict(self, line: CacheLine) -> None:
         """A dirty L2 victim occupies the memory channel for one line

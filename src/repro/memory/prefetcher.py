@@ -14,7 +14,7 @@ rest.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 
 from repro.config import PrefetcherConfig
 
@@ -44,8 +44,11 @@ class StridePrefetcher:
         self._assoc = config.table_assoc
         self._degree = config.degree
         self.num_sets = max(1, config.table_entries // config.table_assoc)
-        self._sets: list[OrderedDict[int, _StrideEntry]] = [
-            OrderedDict() for _ in range(self.num_sets)]
+        #: set index -> that set's entries by pc, in LRU order; a set is
+        #: built by the first load that reaches it (a run trains a few
+        #: dozen PCs of the table's thousand sets)
+        self._sets: defaultdict[int, OrderedDict[int, _StrideEntry]] = (
+            defaultdict(OrderedDict))
         self.trained = 0
         self.issued = 0
 
@@ -109,7 +112,6 @@ class StridePrefetcher:
         return candidates
 
     def reset(self) -> None:
-        for cset in self._sets:
-            cset.clear()
+        self._sets.clear()
         self.trained = 0
         self.issued = 0

@@ -94,10 +94,12 @@ _EV_RA_EXIT = 2
 
 
 class InFlightOp:
-    """Pipeline state of one in-flight micro-op of one :class:`Thread`."""
+    """Pipeline state of one in-flight micro-op of one :class:`Thread`,
+    named by its index ``tid`` (the thread holds its ops, so a reference
+    back to it would make a cycle)."""
 
     __slots__ = (
-        "seq", "uop", "trace_idx", "wrong_path", "thread",
+        "seq", "uop", "trace_idx", "wrong_path", "tid",
         "pending_srcs", "consumers", "ready_cycle",
         "issued", "complete", "squashed", "in_iq",
         "issue_cycle", "complete_cycle", "woken_at",
@@ -107,12 +109,12 @@ class InFlightOp:
     )
 
     def __init__(self, seq: int, uop: MicroOp, trace_idx: int,
-                 wrong_path: bool, thread: "Thread") -> None:
+                 wrong_path: bool, tid: int) -> None:
         self.seq = seq
         self.uop = uop
         self.trace_idx = trace_idx
         self.wrong_path = wrong_path
-        self.thread = thread
+        self.tid = tid
         self.pending_srcs = 0
         self.consumers: list[InFlightOp] | None = None
         self.ready_cycle = 0
@@ -245,8 +247,15 @@ class Processor:
         self.predictor = self.thread.predictor
         self.rob = self.thread.rob
         self._set_level(self.thread, self.level)
-
-        self.hierarchy.add_l2_miss_listener(self._on_l2_miss)
+        #: a StaticPolicy — or any policy pinned to a constant level via
+        #: ResizingPolicy.pin() — never resizes or stops allocation, so
+        #: its per-cycle tick (and decision allocation), miss
+        #: notifications and timers are all skipped whole.  This is the
+        #: pin-equivalence hook: a pinned run takes exactly the code
+        #: paths of a static one (repro.verify asserts bit-identity).
+        self._policy_inert = (type(self.policy) is StaticPolicy
+                              or self.policy.pinned_level is not None)
+        self.hierarchy.add_l2_miss_listener(self._l2_miss_listener())
 
         # timing state
         self.cycle = 0
@@ -264,14 +273,6 @@ class Processor:
         self._width = config.width
         self._l1i_line_bytes = config.l1i.line_bytes
         self._l1i_hit_latency = config.l1i.hit_latency
-        #: a StaticPolicy — or any policy pinned to a constant level via
-        #: ResizingPolicy.pin() — never resizes or stops allocation, so
-        #: its per-cycle tick (and decision allocation), miss
-        #: notifications and timers are all skipped whole.  This is the
-        #: pin-equivalence hook: a pinned run takes exactly the code
-        #: paths of a static one (repro.verify asserts bit-identity).
-        self._policy_inert = (type(self.policy) is StaticPolicy
-                              or self.policy.pinned_level is not None)
         self._refresh_capacity_cache()
 
         # resizing state
@@ -301,7 +302,7 @@ class Processor:
         self.runahead = None
         if config.model is ModelKind.RUNAHEAD:
             from repro.runahead import RunaheadEngine
-            self.runahead = RunaheadEngine(self)
+            self.runahead = RunaheadEngine(config)
         #: optional debug harness (invariant sanitizer + event trace),
         #: resolved once, here: with ``sanitize=False`` this stays None.
         self.debug = None
@@ -347,10 +348,19 @@ class Processor:
             thread.alloc_stall_until,
             self.cycle + self.config.transition_penalty)
 
-    def _on_l2_miss(self, detect_cycle: int) -> None:
-        if not self._policy_inert:
-            self.policy.on_l2_miss(detect_cycle)
-        self.stats.l2_miss_cycles.append(detect_cycle)
+    def _l2_miss_listener(self):
+        """The hierarchy's demand L2-miss callback: it tells the policy
+        (unless inert) and records the detection cycle.  It closes over
+        the policy and the stats, not over this processor, which holds
+        the hierarchy: a bound method would make a reference cycle."""
+        policy = None if self._policy_inert else self.policy
+        stats = self.stats
+
+        def on_l2_miss(detect_cycle: int) -> None:
+            if policy is not None:
+                policy.on_l2_miss(detect_cycle)
+            stats.l2_miss_cycles.append(detect_cycle)
+        return on_l2_miss
 
     # ------------------------------------------------------------------
     # event machinery
@@ -371,7 +381,7 @@ class Processor:
                 if kind == _EV_WAKE:
                     self._wake_consumers(op)
                 else:   # _EV_RA_EXIT
-                    self.runahead.exit_runahead(now)
+                    self.runahead.exit_runahead(self, now)
                 continue
             # the op finished executing
             if op.squashed or op.complete:
@@ -379,7 +389,7 @@ class Processor:
             op.complete = True
             op.complete_cycle = now
             uop = op.uop
-            thread = op.thread
+            thread = self.threads[op.tid]
             if uop.is_branch and op.branch_token is not None:
                 # branch resolution: a mispredict squashes the thread's
                 # younger ops and restarts its fetch after the penalty
@@ -512,6 +522,10 @@ class Processor:
                 if (engine is not None and uop.is_load and op.l2_miss
                         and op.issued):
                     if engine.consider_entry(op, now):
+                        # the blocked load's INV result wakes its
+                        # consumers at once; its fill times the exit
+                        self._wake_consumers(op)
+                        self._schedule(op.complete_cycle, _EV_RA_EXIT, op)
                         in_runahead = True
                         continue
                 break
@@ -615,7 +629,7 @@ class Processor:
             issued += 1
             op.issued = True
             op.issue_cycle = now
-            thread = op.thread
+            thread = self.threads[op.tid]
             if op.in_iq:
                 thread.window.iq.release()
                 op.in_iq = False
@@ -813,6 +827,7 @@ class Processor:
         trace_idx = thread.trace_idx
         wrong_mode = thread.wrong_mode
         last_line = thread.last_fetch_line
+        tid = thread.tid
         seq = self._seq
         while fetched < limit:
             if wrong_mode:
@@ -835,7 +850,7 @@ class Processor:
                     thread.fetch_stall_until = done
                     break
             seq += 1
-            op = InFlightOp(seq, uop, idx, wrong_mode, thread)
+            op = InFlightOp(seq, uop, idx, wrong_mode, tid)
             op.fetch_cycle = now
             queue.append((decoded_at, op))
             fetched += 1
@@ -1237,11 +1252,15 @@ def simulate(config: ProcessorConfig, trace: "Trace",
 
     ``telemetry`` takes a :class:`repro.telemetry.TelemetryProbe`; it is
     attached at the warmup/measurement boundary (so the recording covers
-    exactly the measured region) and flushed before the result is
-    extracted.  Sampling is purely observational: the returned result's
-    canonical stat digest is bit-identical to a ``telemetry=None`` run
-    (the digest-neutrality invariant of :mod:`repro.telemetry`, enforced
-    by ``tests/test_telemetry.py``).
+    exactly the measured region), flushed before the result is
+    extracted and detached.  Sampling is purely observational: the
+    returned result's canonical stat digest is bit-identical to a
+    ``telemetry=None`` run (the digest-neutrality invariant of
+    :mod:`repro.telemetry`, enforced by ``tests/test_telemetry.py``).
+
+    The machine is freed by reference counting when this returns: no
+    component holds its owner, and the sanitizer and the probe, whose
+    back references are how they observe, are detached here.
     """
     if len(trace.ops) < warmup + measure:
         raise ValueError(
@@ -1258,6 +1277,8 @@ def simulate(config: ProcessorConfig, trace: "Trace",
     proc.run(until_committed=warmup + measure)
     if proc.debug is not None:
         proc.debug.final_check()
+        proc.debug.detach()
     if telemetry is not None:
         telemetry.finish()
+        telemetry.detach()
     return proc.result()

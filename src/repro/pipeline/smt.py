@@ -32,7 +32,10 @@ Design notes:
   misses to it and tracks its outstanding demand misses.  With one
   thread and the ``equal`` partition both are inert and the selectors
   always pick thread 0, so the run is the baseline's bit for bit (the
-  ``python -m repro.verify smt`` digest oracle).
+  ``python -m repro.verify smt`` digest oracle).  Neither holds the
+  core or its thread: what they share with the core (the cycle's
+  full-window note, the thread an access is for) sits in small objects
+  of their own, so a finished core is freed by reference counting.
 * A thread's *depth* (wakeup delay, branch penalty) tracks its own
   partition level, not the provisioned window: an ILP thread next to a
   miss-cluster thread keeps the shallow fast pipeline even though the
@@ -106,20 +109,26 @@ class _Partition:
     window, gating allocation on the thread's quota and counting the
     thread's occupancy.  ``detector`` is the MLP phase detector that
     sets the thread's level (``mlp`` partition, else None).
+    ``stall_noted`` is the core's one-element record of whether a full
+    window was noted this cycle, shared by every partition.
     """
 
-    __slots__ = ("core", "shared", "iq", "detector",
+    __slots__ = ("shared", "iq", "detector", "stall_noted",
                  "quota_iq", "quota_rob", "quota_lsq",
-                 "occ_iq", "occ_rob", "occ_lsq")
+                 "occ_rob", "occ_lsq")
 
-    def __init__(self, core: "SMTProcessor",
+    def __init__(self, shared, stall_noted: list[bool],
                  detector: MLPAwarePolicy | None) -> None:
-        self.core = core
-        self.shared = core.window
-        self.iq = _IQShare(self)
+        self.shared = shared
+        self.iq = _IQShare(shared.iq)
         self.detector = detector
+        self.stall_noted = stall_noted
         self.quota_iq = self.quota_rob = self.quota_lsq = 0
-        self.occ_iq = self.occ_rob = self.occ_lsq = 0
+        self.occ_rob = self.occ_lsq = 0
+
+    @property
+    def occ_iq(self) -> int:
+        return self.iq.occupancy
 
     def try_allocate(self, lsq: int) -> bool:
         """Claim one op's entries if the shared window has room and the
@@ -127,14 +136,15 @@ class _Partition:
         shared = self.shared
         if not shared.has_room(1, 1, lsq):
             return False
-        if (self.occ_rob >= self.quota_rob or self.occ_iq >= self.quota_iq
+        iq = self.iq
+        if (self.occ_rob >= self.quota_rob or iq.occupancy >= self.quota_iq
                 or (lsq and self.occ_lsq >= self.quota_lsq)):
             # partition quota reached (or over, after a shrink:
             # drain-by-gating) — only this thread stalls
             return False
         shared.try_allocate(lsq)
         self.occ_rob += 1
-        self.occ_iq += 1
+        iq.occupancy += 1
         if lsq:
             self.occ_lsq += 1
         return True
@@ -144,18 +154,18 @@ class _Partition:
         """Record a refused allocation: a full shared window once per
         cycle for the whole core, exactly like the single-thread stage;
         a quota refusal is not a full window and records nothing."""
-        core = self.core
         shared = self.shared
-        if (not core._alloc_stall_noted
+        noted = self.stall_noted
+        if (not noted[0]
                 and not shared.has_room(need_rob, need_iq, need_lsq)):
             shared.note_alloc_stall(need_rob, need_iq, need_lsq)
-            core._alloc_stall_noted = True
+            noted[0] = True
 
     def release(self, iq: int, lsq: int) -> None:
         self.shared.release(iq, lsq)
         self.occ_rob -= 1
         if iq:
-            self.occ_iq -= 1
+            self.iq.occupancy -= 1
         if lsq:
             self.occ_lsq -= 1
 
@@ -166,23 +176,44 @@ class _Partition:
 
 
 class _IQShare:
-    """The IQ side of a partition: issue frees one entry."""
+    """The IQ side of a partition: the thread's IQ occupancy; issue
+    frees one entry of it and of the shared IQ."""
 
-    __slots__ = ("part",)
+    __slots__ = ("shared", "occupancy")
 
-    def __init__(self, part: _Partition) -> None:
-        self.part = part
+    def __init__(self, shared) -> None:
+        self.shared = shared
+        self.occupancy = 0
 
     def release(self) -> None:
-        self.part.shared.iq.release()
-        self.part.occ_iq -= 1
+        self.shared.release()
+        self.occupancy -= 1
+
+
+class _MissRouter:
+    """The hierarchy's L2-miss listener on an SMT core: the hierarchy
+    reports a miss synchronously, inside the access, so the miss is the
+    thread's whose port set ``tid`` last.  ``sinks`` holds each thread's
+    (detector or None, stats)."""
+
+    __slots__ = ("tid", "sinks")
+
+    def __init__(self) -> None:
+        self.tid = 0
+        self.sinks: list[tuple[MLPAwarePolicy | None, SimStats]] = []
+
+    def __call__(self, detect_cycle: int) -> None:
+        detector, stats = self.sinks[self.tid]
+        if detector is not None:
+            detector.on_l2_miss(detect_cycle)
+        stats.l2_miss_cycles.append(detect_cycle)
 
 
 class _MemoryPort:
     """One thread's path into the shared hierarchy: it takes the
     stages' :class:`~repro.memory.MemoryHierarchy` calls, moves their
     addresses into the thread's address space and names the thread the
-    synchronous L2-miss listener reports for.
+    synchronous L2-miss listener (``router``) reports for.
 
     ``miss_until`` is when the thread's latest correct-path demand L2
     miss completes.  Such a load is never squashed and completes exactly
@@ -190,20 +221,20 @@ class _MemoryPort:
     ``miss_until`` lies ahead (the ``mlp`` fetch selector's signal).
     """
 
-    __slots__ = ("core", "thread", "hierarchy", "data_off", "pc_off",
+    __slots__ = ("router", "tid", "hierarchy", "data_off", "pc_off",
                  "miss_until")
 
-    def __init__(self, core: "SMTProcessor", thread: Thread) -> None:
-        self.core = core
-        self.thread = thread
-        self.hierarchy = core.hierarchy
-        self.data_off = thread.tid * DATA_OFFSET
-        self.pc_off = thread.tid * PC_OFFSET
+    def __init__(self, router: _MissRouter, tid: int, hierarchy) -> None:
+        self.router = router
+        self.tid = tid
+        self.hierarchy = hierarchy
+        self.data_off = tid * DATA_OFFSET
+        self.pc_off = tid * PC_OFFSET
         self.miss_until = 0
 
     def load(self, addr: int, cycle: int, pc: int,
              path: AccessPath = _CORRECT):
-        self.core._cur_thread = self.thread
+        self.router.tid = self.tid
         result = self.hierarchy.load(addr + self.data_off, cycle,
                                      pc + self.pc_off, path)
         if (result.l2_miss and path is _CORRECT
@@ -212,11 +243,11 @@ class _MemoryPort:
         return result
 
     def store(self, addr: int, cycle: int, path: AccessPath = _CORRECT):
-        self.core._cur_thread = self.thread
+        self.router.tid = self.tid
         return self.hierarchy.store(addr + self.data_off, cycle, path)
 
     def ifetch(self, pc: int, cycle: int) -> int:
-        self.core._cur_thread = self.thread
+        self.router.tid = self.tid
         return self.hierarchy.ifetch(pc + self.pc_off, cycle)
 
 
@@ -233,9 +264,9 @@ class SMTProcessor(Processor):
             raise ValueError(f"config.smt.threads={smt.threads} but "
                              f"{len(traces)} traces supplied")
         # The base ctor provisions the shared window at config.level,
-        # builds thread 0 and registers this object's (overridden)
-        # L2-miss listener.  The base policy is pinned static —
-        # per-thread detectors replace it.
+        # builds thread 0 and registers the L2-miss listener that
+        # _l2_miss_listener (overridden) builds.  The base policy is
+        # pinned static — per-thread detectors replace it.
         super().__init__(config, traces[0], policy=StaticPolicy(config.level))
 
         self.partition: PartitionPolicy = make_partition_policy(
@@ -249,13 +280,19 @@ class SMTProcessor(Processor):
                    None, None)
             for tid, trace in enumerate(traces[1:], start=1)]
         latency = config.memory.min_latency
+        #: whether a full window was recorded this cycle (see
+        #: _Partition.note_alloc_stall)
+        self._stall_noted = [False]
+        router = self._miss_router
         for thread in threads:
             detector = (MLPAwarePolicy(max_level=config.level,
                                        memory_latency=latency)
                         if detectors_live else None)
             thread.level = config.level
-            thread.window = _Partition(self, detector)
-            thread.memory = _MemoryPort(self, thread)
+            thread.window = _Partition(self.window, self._stall_noted,
+                                       detector)
+            thread.memory = _MemoryPort(router, thread.tid, self.hierarchy)
+            router.sinks.append((detector, thread.stats))
         self.threads = threads
         self._apply_partition()
         for thread in threads:
@@ -272,12 +309,6 @@ class SMTProcessor(Processor):
         #: per-thread detectors replace the inert base policy; the
         #: inherited step_cycle gates the policy stage on this flag
         self._policy_inert = not detectors_live
-        #: thread whose hierarchy access is in progress (routes the
-        #: synchronous L2-miss listener callback)
-        self._cur_thread = self.thread
-        #: whether a full window was recorded this cycle (see
-        #: _Partition.note_alloc_stall)
-        self._alloc_stall_noted = False
         #: thread orders of the commit/dispatch rotation (fairness of
         #: tied bandwidth claims), by starting thread
         self._rotations = [threads[i:] + threads[:i]
@@ -315,12 +346,11 @@ class SMTProcessor(Processor):
                 acted = True
         return acted
 
-    def _on_l2_miss(self, detect_cycle: int) -> None:
-        thread = self._cur_thread
-        detector = thread.window.detector
-        if detector is not None:
-            detector.on_l2_miss(detect_cycle)
-        thread.stats.l2_miss_cycles.append(detect_cycle)
+    def _l2_miss_listener(self) -> _MissRouter:
+        """Each thread's port names it to the router before an access;
+        the threads register as they are built."""
+        self._miss_router = _MissRouter()
+        return self._miss_router
 
     # ------------------------------------------------------------------
     # stages: pick threads, run the shared body on each
@@ -338,7 +368,7 @@ class SMTProcessor(Processor):
     def _dispatch_stage(self) -> int:
         width = self._width
         dispatched = 0
-        self._alloc_stall_noted = False
+        self._stall_noted[0] = False
         for thread in self._rotations[self._dispatch_rr]:
             dispatched += super()._dispatch_stage(thread,
                                                   width - dispatched)

@@ -3,7 +3,9 @@
 Composition-based: :class:`repro.pipeline.core.Processor` owns an engine
 instance when running the RUNAHEAD model and calls into it from the
 commit stage (entry check, pseudo-retirement), the load/store issue path
-(runahead cache) and the event loop (exit).
+(runahead cache) and the event loop (exit).  The engine holds no
+reference back to its processor: the exit, the one call that acts on
+the machine, is handed it.
 """
 
 from __future__ import annotations
@@ -13,18 +15,17 @@ from typing import TYPE_CHECKING
 from repro.runahead.rcst import RunaheadCauseStatusTable
 
 if TYPE_CHECKING:
+    from repro.config import ProcessorConfig
     from repro.pipeline.core import InFlightOp, Processor
-
-# event kind shared with the core's event loop
-_EV_RA_EXIT = 2
 
 
 class RunaheadEngine:
     """Checkpoint / runahead-mode / restore machinery."""
 
-    def __init__(self, processor: "Processor") -> None:
-        self.processor = processor
-        cfg = processor.config.runahead
+    def __init__(self, config: "ProcessorConfig") -> None:
+        cfg = config.runahead
+        #: shortest remaining fill an episode is entered for
+        self.min_period = config.memory.min_latency // 2
         self.rcst = (RunaheadCauseStatusTable(cfg.rcst_entries)
                      if cfg.use_rcst else None)
         self.useful_threshold = cfg.rcst_useful_threshold
@@ -49,6 +50,8 @@ class RunaheadEngine:
     def consider_entry(self, op: "InFlightOp", cycle: int) -> bool:
         """The ROB head is an issued, incomplete, L2-missing load —
         enter runahead unless the episode is predicted useless or short.
+        On entry the processor wakes the load's consumers and schedules
+        the exit for its fill cycle.
 
         Short periods — e.g. a re-executed load merging into a fill a
         previous episode already started — cost a full pipeline flush for
@@ -57,8 +60,7 @@ class RunaheadEngine:
         """
         if self.active or op.seq == self._rejected_seq:
             return False
-        min_period = self.processor.config.memory.min_latency // 2
-        if op.complete_cycle - cycle < min_period:
+        if op.complete_cycle - cycle < self.min_period:
             self._rejected_seq = op.seq
             return False    # fill mostly done; a flush would cost more
         if op.trace_idx < 0:
@@ -74,15 +76,12 @@ class RunaheadEngine:
         self._episode_fills = 0
         self._cache.clear()
         # The blocked load gets an INV result immediately; its fill keeps
-        # going underneath and times our exit.  Waking its consumers here
+        # going underneath and times our exit.  Waking its consumers
         # propagates INV through the dataflow so dependents pseudo-retire
         # instead of waiting for data that will never arrive.
         op.inv = True
         op.complete = True
-        proc = self.processor
         op.woken_at = cycle
-        proc._wake_consumers(op)
-        proc._schedule(op.complete_cycle, _EV_RA_EXIT, op)
         return True
 
     # ------------------------------------------------------------------
@@ -134,11 +133,11 @@ class RunaheadEngine:
     # ------------------------------------------------------------------
     # exit
 
-    def exit_runahead(self, cycle: int) -> None:
-        """The triggering miss returned: flush and restore the checkpoint."""
+    def exit_runahead(self, proc: "Processor", cycle: int) -> None:
+        """The triggering miss returned: flush ``proc`` and restore the
+        checkpoint."""
         if not self.active:
             return
-        proc = self.processor
         trigger = self._trigger
         useful = self._episode_misses >= self.useful_threshold
         if not useful:

@@ -41,6 +41,7 @@ class TelemetryProbe:
         probe.attach(proc)            # after reset_measurement()
         proc.run(until_committed=n)
         telemetry = probe.finish()    # flushes the partial last interval
+        probe.detach()                # unregisters from proc
 
     Recorded per interval edge: window level, ROB/IQ/LSQ occupancy and
     active capacity, MSHR in-flight counts, committed/issued/dispatched

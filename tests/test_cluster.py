@@ -171,6 +171,8 @@ class TestWorkerProtocol:
             grant = client.lease(wid, prefixes=["zz"], max_jobs=1)["jobs"][0]
             assert grant["key"] == keys[0]
             assert client.metrics()["repro_service_affinity_misses_total"] == 1
+            # hand both leases back, so stopping need not wait them out
+            client.deregister(wid)
         finally:
             _stop(coord, thread)
 

@@ -92,7 +92,7 @@ class TestTable:
         # all PCs map somewhere in 2 sets of 2 ways; flood them
         for pc in range(0x100, 0x100 + 4 * 40, 4):
             p.train(pc, 0x1000, miss=True)
-        total = sum(len(s) for s in p._sets)
+        total = sum(len(s) for s in p._sets.values())
         assert total <= 4
 
     def test_reset(self):
